@@ -291,7 +291,7 @@ def _cutoff_from(cfg) -> CutoffSpec:
     return CutoffSpec(cfg["cutoff_kind"], cfg["cutoff_omega_m"], cfg["sharp_rule"])
 
 
-def _grid_from(cfg, key, params, fallback=None):
+def _grid_from(cfg, key, fallback=None):
     spec = cfg.get(key)
     if spec is None:
         return fallback
@@ -328,7 +328,7 @@ def _compute_spectrum(cfg):
 def _compute_profile(cfg):
     params = _params_from(cfg)
     cutoff = _cutoff_from(cfg)
-    grid = _grid_from(cfg, "grid", params, default_grid(params))
+    grid = _grid_from(cfg, "grid", default_grid(params))
     if cfg["command"] == "energy-density":
         prof = delta_energy_density(params, cutoff, grid, cfg.get("n_max"),
                                     origin=cfg.get("origin", "fixed"))
@@ -352,8 +352,8 @@ def _compute_correlation(cfg):
                 [[cfg["xt1"], cfg["xt2"], value, "asymptotic", ""]],
                 {})
     cutoff = _cutoff_from(cfg)
-    x1 = _grid_from(cfg, "x1_grid", params)
-    x2 = _grid_from(cfg, "x2_grid", params)
+    x1 = _grid_from(cfg, "x1_grid")
+    x2 = _grid_from(cfg, "x2_grid")
     grid = squared_field_correlation_discrete(
         params, cutoff, x1, x2, cfg.get("n_max"),
         negativity=cfg.get("negativity", "warn"))
@@ -409,8 +409,8 @@ def _compute_oracle_validate(cfg):
                          "oracle", res.residual_norm])
         else:
             L = params.length
-            x1 = cfg.get("x1") or 0.63 * L
-            x2 = cfg.get("x2") or L + 0.37 * L
+            x1 = 0.63 * L if cfg.get("x1") is None else cfg["x1"]
+            x2 = L + 0.37 * L if cfg.get("x2") is None else cfg["x2"]
             cut = CutoffSpec.sharp_n_modes(params, cfg["modes_per_cavity"])
             pert = squared_field_correlation_discrete(
                 params, cut, [x1], [x2], negativity="ignore").values[0, 0]

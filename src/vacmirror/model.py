@@ -33,7 +33,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import CapacityError, ParameterError, UsageError
+from .errors import CapacityError, DegenerateModeSetError, ParameterError, UsageError
 
 # Hard limit on the number of field modes a single discrete sum may use.
 MAX_MODES = 200_000
@@ -163,7 +163,8 @@ class CutoffSpec:
                 f"{CUTOFF_SCALE_WARN_RATIO:g} * omega0 = "
                 f"{CUTOFF_SCALE_WARN_RATIO * params.omega0:g}; results are "
                 "well-defined but outside the intended regime omega_m >> omega0",
-                stacklevel=3,
+                # attributed to the caller of the engine: engine -> mode_tables -> here
+                stacklevel=4,
             )
 
 
@@ -226,6 +227,19 @@ def two_cavity_coupling(params: PhysicalParams, cavity: CavityTag, k: int, j: in
     raise UsageError("two_cavity_coupling needs cavity LEFT or RIGHT, not SINGLE")
 
 
+def _cutoff_factor(spec: CutoffSpec, total, largest):
+    """The one encoding of the cutoff: weight of summands whose participating
+    mode frequencies add up to `total` and peak at `largest` (elementwise)."""
+    if spec.kind == "exp":
+        return np.exp(-np.asarray(total) / spec.omega_m)
+    passing = largest if spec.sharp_rule == "per_mode" else total
+    return np.where(np.asarray(passing) <= spec.omega_m, 1.0, 0.0)
+
+
+def _factorizes(spec: CutoffSpec) -> bool:
+    return spec.kind == "exp" or spec.sharp_rule == "per_mode"
+
+
 def cutoff_weight(spec: CutoffSpec, freqs) -> float:
     """Regularization weight in [0, 1] for one summand.
 
@@ -237,11 +251,7 @@ def cutoff_weight(spec: CutoffSpec, freqs) -> float:
         raise UsageError("cutoff_weight needs at least one frequency")
     if np.any(f < 0):
         raise UsageError("frequencies must be non-negative")
-    if spec.kind == "sharp":
-        if spec.sharp_rule == "per_mode":
-            return 1.0 if float(f.max()) <= spec.omega_m else 0.0
-        return 1.0 if float(f.sum()) <= spec.omega_m else 0.0
-    return float(np.exp(-f.sum() / spec.omega_m))
+    return float(_cutoff_factor(spec, f.sum(), f.max()))
 
 
 def per_mode_weights(spec: CutoffSpec, frequencies: np.ndarray) -> np.ndarray:
@@ -251,10 +261,42 @@ def per_mode_weights(spec: CutoffSpec, frequencies: np.ndarray) -> np.ndarray:
     per-mode rule (where truncation to the mode set already encodes the
     cutoff and every weight is 1).
     """
-    if spec.kind == "sharp":
-        if spec.sharp_rule != "per_mode":
-            raise UsageError(
-                "sharp cutoff with the 'total' rule does not factorize; "
-                "this operation supports sharp_rule='per_mode' only")
-        return np.where(frequencies <= spec.omega_m, 1.0, 0.0)
-    return np.exp(-frequencies / spec.omega_m)
+    if not _factorizes(spec):
+        raise UsageError(
+            "sharp cutoff with the 'total' rule does not factorize; "
+            "this operation supports sharp_rule='per_mode' only")
+    return _cutoff_factor(spec, frequencies, frequencies)
+
+
+def mode_tables(params: PhysicalParams, cutoff: CutoffSpec, n_max: int | None = None):
+    """Mode set and index-sum tables shared by every discrete mode sum.
+
+    The spectrum is equally spaced, w_k = k omega1, so a mode pair (j, k)
+    enters every denominator 1/(omega0 + w_j + w_k) through its index sum
+    s = j + k only.  A sharp per-mode cutoff also caps an explicit n_max:
+    modes above omega_m are dropped.
+
+    Returns (modes, damp, g, W, h).  Position s - 2 of the 1-D tables, for
+    s = 2 .. 2N, holds the pair frequency W = s omega1, the denominator
+    h = 1/(omega0 + W) and the cutoff weight g of a pair with index sum s.
+    damp holds the per-mode factors whose products weigh factorized
+    summands; it is None for the sharp 'total' rule, which does not
+    factorize.  Raises DegenerateModeSetError when no mode is left.
+    """
+    cutoff.check_scale(params)
+    modes = ModeSet.build(params, cutoff, n_max)
+    if cutoff.kind == "sharp" and cutoff.sharp_rule == "per_mode":
+        n = int(np.count_nonzero(modes.frequencies <= cutoff.omega_m))
+        modes = ModeSet(modes.indices[:n], modes.wavenumbers[:n], modes.frequencies[:n])
+    if len(modes) == 0:
+        raise DegenerateModeSetError(
+            f"cutoff omega_m = {cutoff.omega_m:g} leaves no mode to sum over "
+            f"(fundamental frequency {params.omega1:g}, n_max = {n_max})")
+    w = modes.frequencies
+    W = params.omega1 * np.arange(2, 2 * len(modes) + 1, dtype=float)
+    h = 1.0 / (params.omega0 + W)
+    # every mode left passes a sharp per-mode cutoff, so the highest one
+    # stands in for the larger frequency of every pair
+    g = _cutoff_factor(cutoff, W, np.full_like(W, w[-1]))
+    damp = per_mode_weights(cutoff, w) if _factorizes(cutoff) else None
+    return modes, damp, g, W, h

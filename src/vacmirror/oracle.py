@@ -208,66 +208,38 @@ def ground_state(model: OracleModel, solver_tol: float = 1e-12) -> OracleResult:
                         residual_norm=residual, dim=dim)
 
 
-def _phi_operator(model: OracleModel, cavity: CavityTag, x: float) -> sp.csr_matrix:
-    """Field operator phi(x) on the truncated mode set (x in global coords)."""
+def _field_operator(model: OracleModel, cavity: CavityTag, x: float,
+                    kind: str) -> sp.csr_matrix:
+    """Field operator on the truncated mode set (x in global coords).
+
+    kind 'phi' gives phi(x) and 'grad' its x-derivative.  kind 'dot' gives
+    the Hermitian part D of the time derivative, phi_dot = -i D; the i is
+    applied when squaring.
+    """
     p = model.params
     L = p.length
     lo, hi = cavity.span(p)
     if not (lo < x < hi):
         raise UsageError(f"x = {x:g} outside the open cavity interval ({lo:g}, {hi:g})")
+    if model.cavities == "one" and cavity is CavityTag.RIGHT:
+        raise UsageError("single-cavity model has no right cavity")
     sign = -1.0 if cavity is CavityTag.RIGHT else 1.0
     dims = model.dims
     m = model.truncation.modes_per_cavity
     offset = m if (model.cavities == "two" and cavity is CavityTag.RIGHT) else 0
-    if model.cavities == "one" and cavity is CavityTag.RIGHT:
-        raise UsageError("single-cavity model has no right cavity")
     out = sp.csr_matrix((len(model.kept), len(model.kept)))
     for i in range(m):
         k = (i + 1) * math.pi / L
         w = model.mode_frequencies[i]
         a_full = _embed(_ladder(dims[1 + offset + i]), 1 + offset + i, dims)
         a = a_full[model.kept][:, model.kept]
-        amp = sign * math.sqrt(p.hbar * p.c**2 / L) * math.sin(k * x) / math.sqrt(w)
-        out = out + amp * (a + a.T)
-    return out.tocsr()
-
-
-def _phi_dot_operator(model: OracleModel, cavity: CavityTag, x: float):
-    """Time derivative of phi(x); anti-Hermitian part carries the i."""
-    p = model.params
-    L = p.length
-    dims = model.dims
-    m = model.truncation.modes_per_cavity
-    offset = m if (model.cavities == "two" and cavity is CavityTag.RIGHT) else 0
-    sign = -1.0 if cavity is CavityTag.RIGHT else 1.0
-    out = None
-    for i in range(m):
-        k = (i + 1) * math.pi / L
-        w = model.mode_frequencies[i]
-        a_full = _embed(_ladder(dims[1 + offset + i]), 1 + offset + i, dims)
-        a = a_full[model.kept][:, model.kept]
-        amp = sign * math.sqrt(p.hbar * p.c**2 / L) * math.sin(k * x) * math.sqrt(w)
-        term = amp * (a - a.T)   # times -i, applied when squaring
-        out = term if out is None else out + term
-    return out.tocsr()
-
-
-def _grad_phi_operator(model: OracleModel, cavity: CavityTag, x: float):
-    p = model.params
-    L = p.length
-    dims = model.dims
-    m = model.truncation.modes_per_cavity
-    offset = m if (model.cavities == "two" and cavity is CavityTag.RIGHT) else 0
-    sign = -1.0 if cavity is CavityTag.RIGHT else 1.0
-    out = None
-    for i in range(m):
-        k = (i + 1) * math.pi / L
-        w = model.mode_frequencies[i]
-        a_full = _embed(_ladder(dims[1 + offset + i]), 1 + offset + i, dims)
-        a = a_full[model.kept][:, model.kept]
-        amp = sign * math.sqrt(p.hbar * p.c**2 / L) * k * math.cos(k * x) / math.sqrt(w)
-        term = amp * (a + a.T)
-        out = term if out is None else out + term
+        amp = sign * math.sqrt(p.hbar * p.c**2 / L)
+        if kind == "phi":
+            out = out + amp * math.sin(k * x) / math.sqrt(w) * (a + a.T)
+        elif kind == "grad":
+            out = out + amp * k * math.cos(k * x) / math.sqrt(w) * (a + a.T)
+        else:
+            out = out + amp * math.sin(k * x) * math.sqrt(w) * (a - a.T)
     return out.tocsr()
 
 
@@ -306,14 +278,15 @@ def expectation(model: OracleModel, state: np.ndarray | OracleResult,
 
     if kind == "phi2":
         (_, x) = observable
-        phi = _phi_operator(model, left if x < model.params.length else CavityTag.RIGHT, x)
+        phi = _field_operator(model, left if x < model.params.length else CavityTag.RIGHT,
+                              x, "phi")
         op = (phi @ phi).tocsr()
         return _exp(vec, op) - _exp(vac, op)
     if kind == "energy_density":
         (_, x) = observable
         tag = left if x < model.params.length else CavityTag.RIGHT
-        pd = _phi_dot_operator(model, tag, x)
-        gp = _grad_phi_operator(model, tag, x)
+        pd = _field_operator(model, tag, x, "dot")
+        gp = _field_operator(model, tag, x, "grad")
         # phi_dot enters as (-i D)^2 = -D^2 with D the stored Hermitian part
         op = 0.5 * (-(pd @ pd) / model.params.c**2 + gp @ gp)
         return _exp(vec, op) - _exp(vac, op)
@@ -321,8 +294,8 @@ def expectation(model: OracleModel, state: np.ndarray | OracleResult,
         if model.cavities != "two":
             raise UsageError(f"{kind} needs the two-cavity model")
         (_, x1, x2) = observable
-        phi1 = _phi_operator(model, CavityTag.LEFT, x1)
-        phi2 = _phi_operator(model, CavityTag.RIGHT, x2)
+        phi1 = _field_operator(model, CavityTag.LEFT, x1, "phi")
+        phi2 = _field_operator(model, CavityTag.RIGHT, x2, "phi")
         if kind == "phi1phi2":
             return _exp(vec, (phi1 @ phi2).tocsr()) - \
                 _exp(vec, phi1) * _exp(vec, phi2)

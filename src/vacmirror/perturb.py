@@ -19,7 +19,17 @@ c_raw * c reduces to c**2).  The shift itself is the double sum
 
     delta_E = - hbar^2/(4 L^2 m omega0) * sum_kj w_k w_j/(omega0+w_k+w_j)
 
-over ordered pairs, strictly negative for any nonempty mode set.
+over ordered pairs, strictly negative for any nonempty mode set.  On the
+equally spaced spectrum w_k = k omega1 the denominator and the cutoff
+weight of a summand depend on the index sum s = k + j only, so grouping
+the numerators w_k w_j = omega1^2 k j by s collapses the double sum to the
+O(N) sum
+
+    delta_E = - hbar^2/(4 L^2 m omega0) * sum_{s=2}^{2N} omega1^2 M_s g(W_s)
+              / (omega0 + W_s),   W_s = s omega1,
+
+with the cutoff weight g of a pair and the index-product sum
+M_s = sum_{k+j=s} k j over 1 <= k, j <= N, which has a closed form.
 """
 
 from __future__ import annotations
@@ -28,8 +38,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DegenerateModeSetError, UsageError
-from .model import CutoffSpec, ModeSet, PhysicalParams, cutoff_weight
+from .errors import UsageError
+from .model import CutoffSpec, PhysicalParams, mode_tables
 
 __all__ = [
     "DressedAmplitudes",
@@ -93,33 +103,19 @@ class PhotonSpectrum:
         return float(self.weights.sum())
 
 
-def _mode_set(params, cutoff, n_max):
-    modes = ModeSet.build(params, cutoff, n_max)
-    if len(modes) == 0:
-        raise DegenerateModeSetError(
-            f"cutoff omega_m = {cutoff.omega_m:g} truncates every mode "
-            f"(fundamental frequency {params.omega1:g})")
-    return modes
+def _pair_index_products(n):
+    """M[s - 2] = sum of k j over ordered pairs 1 <= k, j <= n with k + j = s.
 
-
-def _pair_tables(params, cutoff, n_max):
-    """Unordered pair arrays (k<=j): indices, multiplicities, weights, freqs."""
-    modes = _mode_set(params, cutoff, n_max)
-    n = len(modes)
-    k_idx, j_idx = np.meshgrid(modes.indices, modes.indices, indexing="ij")
-    keep = k_idx <= j_idx
-    kk, jj = k_idx[keep], j_idx[keep]
-    mult = np.where(kk == jj, 1.0, 2.0)
-    w1 = params.omega1
-    wk, wj = kk * w1, jj * w1
-    if cutoff.kind == "sharp":
-        if cutoff.sharp_rule == "per_mode":
-            wgt = np.ones_like(wk)  # truncation already applied via the mode set
-        else:
-            wgt = np.where(wk + wj <= cutoff.omega_m, 1.0, 0.0)
-    else:
-        wgt = np.exp(-(wk + wj) / cutoff.omega_m)
-    return np.column_stack([kk, jj]), mult, wgt, wk, wj
+    Closed form from the integer prefix sums of k and k^2 over the range
+    max(1, s - n) <= k <= min(n, s - 1); exact, in int64 and after the
+    conversion to float64, for every n up to MAX_MODES.
+    """
+    s = np.arange(2, 2 * n + 1, dtype=np.int64)
+    lo = np.maximum(s - n, 1) - 1
+    hi = np.minimum(s - 1, n)
+    sum_k = (hi * (hi + 1) - lo * (lo + 1)) // 2
+    sum_k2 = (hi * (hi + 1) * (2 * hi + 1) - lo * (lo + 1) * (2 * lo + 1)) // 6
+    return s * sum_k - sum_k2
 
 
 def energy_shift(params: PhysicalParams, cutoff: CutoffSpec,
@@ -132,27 +128,35 @@ def energy_shift(params: PhysicalParams, cutoff: CutoffSpec,
     cutoff : CutoffSpec
         Determines the range and weighting of the double mode sum.
     n_max : int, optional
-        Explicit mode count overriding the cutoff-derived size.
+        Explicit mode count overriding the cutoff-derived size; a sharp
+        per-mode cutoff caps it (modes above omega_m are dropped).
     """
-    cutoff.check_scale(params)
-    pairs, mult, wgt, wk, wj = _pair_tables(params, cutoff, n_max)
-    den = params.omega0 + wk + wj
-    s = np.sum(mult * wgt * wk * wj / den)
+    modes, _, g, _, h = mode_tables(params, cutoff, n_max)
+    M = _pair_index_products(len(modes))
     pre = params.hbar**2 / (4.0 * params.length**2 * params.mass * params.omega0)
-    return float(-pre * s)
+    return float(-pre * params.omega1**2 * np.sum(M * g * h))
 
 
 def dressed_amplitudes(params: PhysicalParams, cutoff: CutoffSpec,
                        n_max: int | None = None) -> DressedAmplitudes:
-    """First-order amplitudes of the dressed ground state, pair by pair."""
-    cutoff.check_scale(params)
-    pairs, mult, wgt, wk, wj = _pair_tables(params, cutoff, n_max)
-    signs = np.where((pairs[:, 0] + pairs[:, 1]) % 2 == 0, 1.0, -1.0)
+    """First-order amplitudes of the dressed ground state, pair by pair.
+
+    n_max is the explicit mode count; a sharp per-mode cutoff caps it.
+    """
+    modes, _, g, _, h = mode_tables(params, cutoff, n_max)
+    rows, cols = np.triu_indices(len(modes))
+    kk, jj = modes.indices[rows], modes.indices[cols]
+    s = rows + cols                      # position of the pair's index sum
+    w1 = params.omega1
+    wk, wj = kk * w1, jj * w1
+    signs = np.where(s % 2 == 0, 1.0, -1.0)
     pre = np.sqrt(params.hbar / (8.0 * params.mass * params.omega0)) / params.length
-    raw = pre * signs * np.sqrt(wk * wj) / (params.omega0 + wk + wj)
+    raw = pre * signs * np.sqrt(wk * wj) * h[s]
+    wgt = g[s]
     return DressedAmplitudes(
-        params=params, cutoff=cutoff, pairs=pairs,
-        coeffs=raw * wgt, coeffs_raw=raw, weights=wgt, multiplicities=mult)
+        params=params, cutoff=cutoff, pairs=np.column_stack([kk, jj]),
+        coeffs=raw * wgt, coeffs_raw=raw, weights=wgt,
+        multiplicities=np.where(kk == jj, 1.0, 2.0))
 
 
 def energy_shift_from_amplitudes(amps: DressedAmplitudes) -> float:

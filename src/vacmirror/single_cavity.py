@@ -33,9 +33,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import UsageError
-from .model import CutoffSpec, ModeSet, PhysicalParams, per_mode_weights
+from .model import CutoffSpec, PhysicalParams, mode_tables
 
 __all__ = [
     "ObservableProfile",
@@ -96,27 +97,22 @@ def _cavity_grid(params, grid, origin):
     return x, xc
 
 
-def _tables(params, cutoff, n_max):
-    """Mode tables shared by every profile: freqs, signed weights, denominators."""
-    cutoff.check_scale(params)
-    modes = ModeSet.build(params, cutoff, n_max)
-    if len(modes) == 0:
+def _inner_sums(params, cutoff, n_max, xc, trigs, freq_numerator):
+    """Mode count, outer weights w_j g_j and, per trig, the per-j inner sums
+    F_j(x) = sum_k s_k n_k g_k trig(k_k x)/(w0+w_j+w_k), with the numerator
+    n_k = w_k if freq_numerator else 1."""
+    modes, damp, _, _, h = mode_tables(params, cutoff, n_max)
+    if damp is None:
         raise UsageError(
-            f"cutoff omega_m = {cutoff.omega_m:g} leaves no mode to sum over")
+            "sharp cutoff with the 'total' rule does not factorize; "
+            "the profiles support sharp_rule='per_mode' only")
     w = modes.frequencies
-    wgt = per_mode_weights(cutoff, w)
     signs = np.where(modes.indices % 2 == 0, 1.0, -1.0)
-    # D[j, k] = 1 / (omega0 + w_j + w_k)
-    denom = 1.0 / (params.omega0 + w[:, None] + w[None, :])
-    return modes, w, wgt, signs, denom
-
-
-def _factor_profiles(params, modes, w, wgt, signs, denom, xc, trig):
-    """Per-j inner sums F_j(x) = sum_k s_k w_k wgt_k trig(k_k x)/(w0+w_j+w_k)."""
-    karr = modes.wavenumbers
-    T = trig(np.outer(karr, xc))                 # (N, X)
-    coef = signs * w * wgt                       # (N,)
-    return (denom * coef[None, :]) @ T           # (N, X)
+    coef = signs * w * damp if freq_numerator else signs * damp
+    denom = sliding_window_view(h, len(modes))   # D[j, k] = h[j + k], a Hankel view
+    sums = [(denom * coef[None, :]) @ trig(np.outer(modes.wavenumbers, xc))
+            for trig in trigs]
+    return len(modes), w * damp, sums
 
 
 def delta_energy_density(params: PhysicalParams, cutoff: CutoffSpec, grid,
@@ -131,18 +127,17 @@ def delta_energy_density(params: PhysicalParams, cutoff: CutoffSpec, grid,
     grid : array_like
         Sample positions, strictly inside the cavity.
     n_max : int, optional
-        Explicit mode count (overrides the cutoff-derived size).
+        Explicit mode count (overrides the cutoff-derived size); a sharp
+        per-mode cutoff caps it (modes above omega_m are dropped).
     origin : {'fixed', 'movable'}
         Coordinate origin of `grid`.
     """
     x, xc = _cavity_grid(params, grid, origin)
-    modes, w, wgt, signs, denom = _tables(params, cutoff, n_max)
-    Ej = _factor_profiles(params, modes, w, wgt, signs, denom, xc, np.cos)
-    Oj = _factor_profiles(params, modes, w, wgt, signs, denom, xc, np.sin)
-    vals = (w * wgt) @ (Ej**2 + Oj**2)
+    n, outer, (Ej, Oj) = _inner_sums(params, cutoff, n_max, xc, (np.cos, np.sin), True)
+    vals = outer @ (Ej**2 + Oj**2)
     pre = params.hbar**2 / (2.0 * params.length**3 * params.mass * params.omega0)
     return ObservableProfile("delta_energy_density", x, pre * vals, params,
-                             cutoff, origin, len(modes))
+                             cutoff, origin, n)
 
 
 def em_field_fluctuations(params: PhysicalParams, cutoff: CutoffSpec, grid,
@@ -151,32 +146,31 @@ def em_field_fluctuations(params: PhysicalParams, cutoff: CutoffSpec, grid,
     """Correction to the electric- or magnetic-type field fluctuations.
 
     component 'E' uses sin(k_l x) sin(k_n x) factors and vanishes on the
-    walls; 'B' uses cos * cos and stays finite there.
+    walls; 'B' uses cos * cos and stays finite there.  n_max as in
+    delta_energy_density.
     """
     if component not in ("E", "B"):
         raise UsageError(f"component must be 'E' or 'B', got {component!r}")
     x, xc = _cavity_grid(params, grid, origin)
-    modes, w, wgt, signs, denom = _tables(params, cutoff, n_max)
     trig = np.sin if component == "E" else np.cos
-    Fj = _factor_profiles(params, modes, w, wgt, signs, denom, xc, trig)
-    vals = (w * wgt) @ (Fj**2)
+    n, outer, (Fj,) = _inner_sums(params, cutoff, n_max, xc, (trig,), True)
+    vals = outer @ (Fj**2)
     pre = params.hbar**2 / (params.mass * params.omega0 * params.length**3)
     kind = "e_squared" if component == "E" else "b_squared"
-    return ObservableProfile(kind, x, pre * vals, params, cutoff, origin, len(modes))
+    return ObservableProfile(kind, x, pre * vals, params, cutoff, origin, n)
 
 
 def delta_phi_squared(params: PhysicalParams, cutoff: CutoffSpec, grid,
                       n_max: int | None = None,
                       origin: str = "fixed") -> ObservableProfile:
-    """Correction to the squared-field expectation <phi^2> in the cavity."""
+    """Correction to the squared-field expectation <phi^2> in the cavity.
+
+    n_max as in delta_energy_density.
+    """
     x, xc = _cavity_grid(params, grid, origin)
-    modes, w, wgt, signs, denom = _tables(params, cutoff, n_max)
-    karr = modes.wavenumbers
-    S = np.sin(np.outer(karr, xc))
-    coef = signs * wgt
-    Pj = (denom * coef[None, :]) @ S
-    vals = (w * wgt) @ (Pj**2)
+    n, outer, (Pj,) = _inner_sums(params, cutoff, n_max, xc, (np.sin,), False)
+    vals = outer @ (Pj**2)
     pre = (params.hbar**2 * params.c**2
            / (params.length**3 * params.mass * params.omega0))
     return ObservableProfile("delta_phi_squared", x, pre * vals, params,
-                             cutoff, origin, len(modes))
+                             cutoff, origin, n)

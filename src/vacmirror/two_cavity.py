@@ -38,9 +38,10 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import UsageError
-from .model import CutoffSpec, ModeSet, PhysicalParams, per_mode_weights
+from .model import CutoffSpec, PhysicalParams, mode_tables
 from .single_cavity import ObservableProfile
 
 __all__ = [
@@ -85,18 +86,12 @@ def _check_grid(name, x, lo, hi):
     return x
 
 
-def _mode_tables(params, cutoff, n_max):
-    cutoff.check_scale(params)
-    modes = ModeSet.build(params, cutoff, n_max)
-    if len(modes) == 0:
-        raise UsageError(
-            f"cutoff omega_m = {cutoff.omega_m:g} leaves no mode to sum over")
-    damp = per_mode_weights(cutoff, modes.frequencies)
-    return modes, damp
-
-
 def _sine_tables(modes, damp, xt):
     """v[p, i] = g_p sin(k_p xt_i), the damped mode functions at each point."""
+    if damp is None:
+        raise UsageError(
+            "sharp cutoff with the 'total' rule does not factorize; "
+            "the correlation engine supports sharp_rule='per_mode' only")
     return damp[:, None] * np.sin(np.outer(modes.wavenumbers, xt))
 
 
@@ -137,7 +132,8 @@ def squared_field_correlation_discrete(params: PhysicalParams, cutoff: CutoffSpe
     x2_grid : array_like
         Positions in cavity 2, strictly inside (L, 2L).
     n_max : int, optional
-        Explicit mode count per cavity.
+        Explicit mode count per cavity; a sharp per-mode cutoff caps it
+        (modes above omega_m are dropped).
     negativity : {'warn', 'raise', 'ignore'}
         Every value is expected to be negative; this selects what happens
         if one is not.
@@ -147,19 +143,17 @@ def squared_field_correlation_discrete(params: PhysicalParams, cutoff: CutoffSpe
     L = params.length
     x1 = _check_grid("x1_grid", x1_grid, 0.0, L)
     x2 = _check_grid("x2_grid", x2_grid, L, 2.0 * L)
-    modes, damp = _mode_tables(params, cutoff, n_max)
+    modes, damp, _, W, h = mode_tables(params, cutoff, n_max)
     n = len(modes)
     xt1 = L - x1
     xt2 = x2 - L
 
     R1 = _pair_sums(_sine_tables(modes, damp, xt1))    # (X1, 2n-1)
     R2 = _pair_sums(_sine_tables(modes, damp, xt2))    # (X2, 2n-1)
-    W = params.omega1 * np.arange(2, 2 * n + 1, dtype=float)
-    D1 = 1.0 / (params.omega0 + W)
 
-    q1 = R1 @ D1
-    q2 = R2 @ D1
-    total = np.outer(q1, q2) + _cross_term(R1, D1, R2, W)
+    q1 = R1 @ h
+    q2 = R2 @ h
+    total = np.outer(q1, q2) + _cross_term(R1, h, R2, W)
     pre = (params.hbar**3 * params.c**4
            / (L**4 * params.mass * params.omega0))
     values = -pre * total
@@ -183,35 +177,15 @@ def phi_phi_cross_correlation(params: PhysicalParams, cutoff: CutoffSpec,
     The dressed ground state only contains components with an even photon
     number in each cavity (photons are created and absorbed in pairs),
     while phi(x1) phi(x2) changes the photon number of each cavity by one.
-    The accounting below assembles the correlator sector by sector; every
-    bra/ket combination is parity-forbidden, so the result is an exact
-    structural zero at every order of the pair-creating interaction.
+    So every bra/ket combination is parity-forbidden and the correlator is
+    an exact structural zero at every order of the pair-creating
+    interaction; <phi(x1)><phi(x2)> vanishes the same way (a single phi
+    flips one parity), so the connected and plain correlators coincide.
     """
     L = params.length
     _check_grid("x1", [x1], 0.0, L)
     _check_grid("x2", [x2], L, 2.0 * L)
-
-    # Dressed-state sectors as (mirror quanta, cavity-1 photon parity,
-    # cavity-2 photon parity).  The interaction creates photons two at a
-    # time in one cavity, so every sector reachable from the vacuum, at
-    # any order, has even photon parity in both cavities.
-    sectors = {(0, 0, 0), (1, 0, 0), (2, 0, 0)}
-    surviving = []
-    for (mb, p1b, p2b) in sectors:
-        for (mk, p1k, p2k) in sectors:
-            # phi(x1) phi(x2) carries no mirror operators and flips the
-            # photon parity of each cavity, so a nonvanishing matrix
-            # element needs equal mirror quanta and opposite photon
-            # parities in both cavities.
-            if mb == mk and p1b != p1k and p2b != p2k:
-                surviving.append(((mb, p1b, p2b), (mk, p1k, p2k)))
-    # Every candidate element is parity-forbidden: the correlator
-    # assembles to an empty sum.  <phi(x1)><phi(x2)> vanishes the same
-    # way (a single phi flips one parity), so the connected and plain
-    # correlators coincide here.
-    assembled = float(sum(0.0 for _ in surviving))
-    assert not surviving and abs(assembled) <= 1e-14
-    return assembled
+    return 0.0
 
 
 def single_cavity_reduction_check(params: PhysicalParams, cutoff: CutoffSpec,
@@ -225,14 +199,11 @@ def single_cavity_reduction_check(params: PhysicalParams, cutoff: CutoffSpec,
     """
     L = params.length
     x = _check_grid("grid", grid, 0.0, L)
-    modes, damp = _mode_tables(params, cutoff, n_max)
+    modes, damp, _, _, h = mode_tables(params, cutoff, n_max)
     xt = L - x
     v = _sine_tables(modes, damp, xt)                  # (N, X)
-    w = modes.frequencies
-    wgt = damp                                          # per-mode damping
-    denom = 1.0 / (params.omega0 + w[:, None] + w[None, :])
-    Pj = denom @ v                                      # (N, X)
-    vals = (w * wgt) @ (Pj**2)
+    Pj = sliding_window_view(h, len(modes)) @ v         # (N, X)
+    vals = (modes.frequencies * damp) @ (Pj**2)
     pre = (params.hbar**2 * params.c**2
            / (L**3 * params.mass * params.omega0))
     return ObservableProfile("delta_phi_squared", x, pre * vals, params,

@@ -167,3 +167,11 @@ def test_continuum_cli_roundtrip(tmp_path):
 def test_unwritable_output(tmp_path):
     rc = main(["energy-shift", "-o", str(tmp_path / "no" / "dir" / "x.csv")])
     assert rc == 2
+
+
+def test_oracle_validate_explicit_zero_position_rejected(tmp_path):
+    # an explicit 0 is a position on the fixed wall, not "use the default"
+    rc = main(["oracle-validate", "--cavities", "2", "--lambdas", "0.025",
+               "--max-photons", "2", "--max-mirror", "2", "--x1", "0",
+               "-o", str(tmp_path / "orc.csv")])
+    assert rc == 2

@@ -3,10 +3,11 @@ import math
 import numpy as np
 import pytest
 
-from vacmirror import (CapacityError, CavityTag, CutoffSpec, ModeSet,
-                       ParameterError, PhysicalParams, UsageError,
-                       coupling_matrix_element, cutoff_weight,
-                       two_cavity_coupling)
+from vacmirror import (CapacityError, CavityTag, CutoffSpec,
+                       DegenerateModeSetError, ModeSet, ParameterError,
+                       PhysicalParams, UsageError, coupling_matrix_element,
+                       cutoff_weight, delta_energy_density, energy_shift,
+                       squared_field_correlation_discrete, two_cavity_coupling)
 
 
 def test_coupling_symmetry(params_unit):
@@ -142,3 +143,16 @@ def test_sharp_n_modes(params_unit):
     spec = CutoffSpec.sharp_n_modes(params_unit, 4)
     modes = ModeSet.build(params_unit, spec)
     assert len(modes) == 4
+
+
+@pytest.mark.parametrize("engine", [
+    lambda p, cut, n: energy_shift(p, cut, n),
+    lambda p, cut, n: delta_energy_density(p, cut, [0.5], n),
+    lambda p, cut, n: squared_field_correlation_discrete(p, cut, [0.5], [1.5], n),
+], ids=["energy_shift", "delta_energy_density", "correlation"])
+@pytest.mark.filterwarnings("ignore:cutoff omega_m")
+def test_empty_mode_set_same_error_in_every_engine(params_unit, engine):
+    with pytest.raises(DegenerateModeSetError):
+        engine(params_unit, CutoffSpec.sharp(0.5 * params_unit.omega1), None)
+    with pytest.raises(DegenerateModeSetError):
+        engine(params_unit, CutoffSpec.exponential(50.0), 0)

@@ -3,7 +3,7 @@ import warnings
 import numpy as np
 import pytest
 
-from vacmirror import (CapacityError, CutoffSpec, TruncationSpec,
+from vacmirror import (CapacityError, CutoffSpec, TruncationSpec, UsageError,
                        build_hamiltonian, coupling_matrix_element,
                        delta_energy_density, energy_shift, expectation,
                        ground_state, perturbative_state,
@@ -210,3 +210,11 @@ def test_expectation_validation(params_weak):
         expectation(model, res, ("phi2", 1.5))           # outside the cavity
     with pytest.raises(Exception):
         expectation(model, res.vector[:-1], ("phi2", 0.5))
+
+
+def test_energy_density_outside_cavity_rejected(params_weak):
+    model = build_hamiltonian(params_weak, small_trunc(), "one")
+    res = ground_state(model)
+    for x in (1.4, -0.3):
+        with pytest.raises(UsageError):
+            expectation(model, res, ("energy_density", x))

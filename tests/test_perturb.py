@@ -5,7 +5,7 @@ from vacmirror import (CutoffSpec, DegenerateModeSetError, PhysicalParams,
                        UsageError, dressed_amplitudes, energy_shift,
                        energy_shift_from_amplitudes, photon_spectrum)
 
-from conftest import brute_energy_shift, params_for_lambda
+from conftest import blocked_energy_shift, brute_energy_shift, params_for_lambda
 
 # frozen by an independent 30-digit evaluation of the closed double sum
 DE_M10_N2 = -0.20130304425925797
@@ -25,6 +25,21 @@ def test_energy_shift_matches_brute_force(params_weak):
     got = energy_shift(params_weak, CutoffSpec.exponential(9.0), n_max=3)
     ref = brute_energy_shift(params_weak, 3, omega_m=9.0)
     assert abs(got - ref) <= 1e-14 * abs(ref)
+
+
+def test_energy_shift_matches_blocked_double_sum():
+    # the O(N) index-sum form against the direct ordered double sum
+    p = params_for_lambda(0.05, omega0=np.pi)
+    n = 2000
+    wm = 50 * p.omega1
+    got = energy_shift(p, CutoffSpec.exponential(wm), n_max=n)
+    ref = blocked_energy_shift(p, n, lambda tot: np.exp(-tot / wm))
+    assert abs(got - ref) <= 1e-12 * abs(ref)
+
+    wm = (n + 0.5) * p.omega1
+    got = energy_shift(p, CutoffSpec.sharp(wm, rule="total"))
+    ref = blocked_energy_shift(p, n, lambda tot: np.where(tot <= wm, 1.0, 0.0))
+    assert abs(got - ref) <= 1e-12 * abs(ref)
 
 
 def test_energy_shift_negative():
@@ -49,6 +64,17 @@ def test_energy_shift_mass_scaling(params_weak):
 def test_energy_shift_empty_mode_set(params_weak):
     with pytest.raises(DegenerateModeSetError):
         energy_shift(params_weak, CutoffSpec.sharp(0.5 * params_weak.omega1))
+
+
+def test_sharp_cutoff_caps_explicit_n_max(params_weak):
+    # modes above a sharp per-mode cutoff drop out even when n_max asks for them
+    cut = CutoffSpec.sharp(3.5 * params_weak.omega1)
+    assert energy_shift(params_weak, cut, n_max=6) == energy_shift(params_weak, cut)
+    capped = dressed_amplitudes(params_weak, cut, n_max=6)
+    auto = dressed_amplitudes(params_weak, cut)
+    assert np.array_equal(capped.pairs, auto.pairs)
+    assert np.array_equal(capped.coeffs, auto.coeffs)
+    assert np.array_equal(capped.weights, auto.weights)
 
 
 def test_energy_shift_monotone_in_modes(params_weak):
