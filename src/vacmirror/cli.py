@@ -23,7 +23,8 @@ from concurrent.futures import ThreadPoolExecutor
 import numpy as np
 
 from . import __version__
-from .continuum import asymptotic_correlation, continuum_correlation, scaling_probe
+from .continuum import (DEFAULT_BUDGET, asymptotic_correlation,
+                        continuum_correlation, scaling_probe)
 from .errors import (CapacityError, ConvergenceError, ParameterError, UsageError)
 from .model import CutoffSpec, PhysicalParams
 from .oracle import TruncationSpec, build_hamiltonian, expectation, ground_state
@@ -150,11 +151,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--method", choices=["partial_analytic", "full_quadrature"],
                    default="partial_analytic")
     p.add_argument("--rel-tol", type=float, default=1e-6)
-    p.add_argument("--budget", type=float, default=1e8)
+    p.add_argument("--budget", type=float, default=DEFAULT_BUDGET)
 
     p = sub.add_parser("scaling", help="log-log scaling probes")
     common(p)
-    p.add_argument("--quantity", choices=["asymptotic", "continuum"], required=True)
+    p.add_argument("--quantity", choices=["asymptotic", "far_field", "continuum"],
+                   required=True)
     p.add_argument("--axis", choices=["mass", "omega0", "distance"], required=True)
     p.add_argument("--points", required=True,
                    help="probe values: comma list or lo:hi:n[:log]")

@@ -31,9 +31,14 @@ Two independent evaluation paths are provided and cross-validated:
 - 'full_quadrature': direct tensor-product Gauss-Legendre quadrature of
   the k integrals on axes truncated where the exponential damping makes
   the tail negligible, with half-wavelength panels and global panel
-  doubling until two refinement levels agree.  Cost grows with
-  (omega_m xt / c)^4, so this path is for moderate cutoff-distance
-  products; the evaluation budget caps it.
+  doubling until two refinement levels agree.  Within a cavity the
+  summand is symmetric in its two wavenumbers, so each cavity's pairs
+  are folded to p <= q (doubled weight off the diagonal), about 4x fewer
+  kernel entries; the kernel 1/(c (K1 + K2)) is built and contracted in
+  row blocks of a fixed ~1 MiB buffer, so memory stays bounded.  Cost
+  still grows with (omega_m xt / c)^4, so this path is for moderate
+  cutoff-distance products; the evaluation budget caps it and counts
+  the nominal tensor summands n1^2 n2^2.
 
 Every structure in the integrand is a positive quadratic form, so
 C < 0 for all distances and cutoffs.  The mass enters the prefactor only:
@@ -114,7 +119,8 @@ class ContinuumPoint:
     value: float
     rel_tol: float           # achieved relative tolerance estimate
     method: str
-    neval: int = 0
+    neval: int = 0           # integrand calls (partial_analytic) or nominal
+                             # tensor summands n1^2 n2^2 (full_quadrature)
 
 
 @dataclass(frozen=True)
@@ -239,6 +245,11 @@ def _partial_analytic(params, omega_m, xt1, xt2, rel_tol, budget):
 # full-quadrature path
 # ---------------------------------------------------------------------------
 
+# one block of the Cauchy kernel; blocks that stay in cache ran 2x faster
+# than 32 MiB blocks at omega_m = 15, xt = 0.15
+_KERNEL_BLOCK_BYTES = 1 << 20
+
+
 def _axis_edges(xt, k_max, k_struct, scale):
     """Graded panel edges on (0, k_max) for a sin(k xt) * smooth axis.
 
@@ -268,33 +279,47 @@ def _axis_rule(xt, k_max, k_struct, scale, gl_order=6):
 
 
 def _pair_arrays(params, omega_m, xt, k_max, k_struct, scale):
-    """Flattened products over one cavity's two axes: amplitudes and K sums."""
+    """One cavity's pairs p <= q of its two axes: weights, K sums, rule size.
+
+    The summand depends on (p, q) only through K = k_p + k_q and
+    amp_p amp_q, so the pairs (p, q) and (q, p) are folded into one whose
+    weight is doubled when p != q.  The third value is the number n^2 of
+    ordered pairs, which the budget counts.
+    """
     k, w = _axis_rule(xt, k_max, k_struct, scale)
     amp = w * np.sin(k * xt) * np.exp(-params.c * k / omega_m)
-    P = np.outer(amp, amp).ravel()
-    K = (k[:, None] + k[None, :]).ravel()
-    return P, K
+    p, q = np.triu_indices(k.size)
+    P = amp[p] * amp[q]
+    P[p != q] *= 2.0
+    return P, k[p] + k[q], k.size**2
 
 
 def _full_level(params, omega_m, xt1, xt2, k_max, k_struct, scale, budget, spent):
     w0, c = params.omega0, params.c
-    P1, K1 = _pair_arrays(params, omega_m, xt1, k_max, k_struct, scale)
-    P2, K2 = _pair_arrays(params, omega_m, xt2, k_max, k_struct, scale)
-    cost = K1.size * K2.size
+    P1, K1, n1 = _pair_arrays(params, omega_m, xt1, k_max, k_struct, scale)
+    P2, K2, n2 = _pair_arrays(params, omega_m, xt2, k_max, k_struct, scale)
+    cost = n1 * n2
     if spent + cost > budget:
         return None, cost
     D1 = 1.0 / (w0 + c * K1)
     D2 = 1.0 / (w0 + c * K2)
     t1 = float(np.dot(P1, D1) * np.dot(P2, D2))
+    # 1/(K1 + K2) row block by row block in one reused buffer; one product
+    # against [P2, P2 D2] serves both cross structures, and the common
+    # factor 1/c is applied once at the end
+    P1D1 = P1 * D1
+    cols = np.column_stack((P2, P2 * D2))
+    rows = max(1, _KERNEL_BLOCK_BYTES // (8 * K2.size))
+    buf = np.empty((min(rows, K1.size), K2.size))
     cross = 0.0
-    block = 4096
-    P2D2 = P2 * D2
-    for lo in range(0, K1.size, block):
-        hi = min(lo + block, K1.size)
-        Kb = 1.0 / (c * (K1[lo:hi, None] + K2[None, :]))
-        cross += float((P1[lo:hi] * D1[lo:hi]) @ (Kb @ P2))
-        cross += float(P1[lo:hi] @ (Kb @ P2D2))
-    return t1 + cross, cost
+    for lo in range(0, K1.size, rows):
+        hi = min(lo + rows, K1.size)
+        kb = buf[:hi - lo]
+        np.add(K1[lo:hi, None], K2, out=kb)
+        np.reciprocal(kb, out=kb)
+        s = kb @ cols
+        cross += float(P1D1[lo:hi] @ s[:, 0] + P1[lo:hi] @ s[:, 1])
+    return t1 + cross / c, cost
 
 
 def _full_quadrature(params, omega_m, xt1, xt2, rel_tol, budget):
@@ -348,7 +373,8 @@ def continuum_correlation(params: PhysicalParams, omega_m: float,
     method : {'partial_analytic', 'full_quadrature'}
         Evaluation path; the two agree within their reported tolerances.
     budget : float
-        Cap on integrand evaluations before giving up with a
+        Cap on integrand evaluations (partial_analytic) or nominal tensor
+        summands (full_quadrature) before giving up with a
         ConvergenceError carrying the best estimate.
     """
     if xt1 <= 0 or xt2 <= 0:

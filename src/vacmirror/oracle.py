@@ -254,9 +254,22 @@ def _exp(vec, op) -> float:
     return float(np.real(vec @ (op @ vec)))
 
 
+def _exp_renormalized(vec, vac, op) -> float:
+    """<vec|(O - <0|O|0>)|vec>, the vacuum value taken off inside the form.
+
+    The vacuum component of vec then contributes no large diagonal term,
+    so a value far below <0|O|0> keeps its digits.
+    """
+    shifted = op - _exp(vac, op) * sp.identity(op.shape[0], format="csr")
+    return _exp(vec, shifted)
+
+
 def expectation(model: OracleModel, state: np.ndarray | OracleResult,
                 observable: tuple) -> float:
     """Expectation value of a field observable on a model eigenstate.
+
+    The state must have unit norm: the renormalized observables subtract
+    the vacuum value as <psi|(O - <0|O|0>)|psi>.
 
     observable is a tuple naming the quantity:
       ('phi2', x)                 renormalized <phi(x)^2> (bare vacuum
@@ -280,8 +293,7 @@ def expectation(model: OracleModel, state: np.ndarray | OracleResult,
         (_, x) = observable
         phi = _field_operator(model, left if x < model.params.length else CavityTag.RIGHT,
                               x, "phi")
-        op = (phi @ phi).tocsr()
-        return _exp(vec, op) - _exp(vac, op)
+        return _exp_renormalized(vec, vac, (phi @ phi).tocsr())
     if kind == "energy_density":
         (_, x) = observable
         tag = left if x < model.params.length else CavityTag.RIGHT
@@ -289,7 +301,7 @@ def expectation(model: OracleModel, state: np.ndarray | OracleResult,
         gp = _field_operator(model, tag, x, "grad")
         # phi_dot enters as (-i D)^2 = -D^2 with D the stored Hermitian part
         op = 0.5 * (-(pd @ pd) / model.params.c**2 + gp @ gp)
-        return _exp(vec, op) - _exp(vac, op)
+        return _exp_renormalized(vec, vac, op)
     if kind in ("phi2phi2", "phi1phi2"):
         if model.cavities != "two":
             raise UsageError(f"{kind} needs the two-cavity model")

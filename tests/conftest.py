@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 
 from vacmirror import PhysicalParams
+from vacmirror.continuum import _axis_rule
 
 
 @pytest.fixture
@@ -173,6 +174,38 @@ def brute_correlation(params, n, x1, x2, omega_m=None):
     pre = (params.hbar**3 * params.c**4
            / (params.length**4 * params.mass * params.omega0))
     return -pre * tot
+
+
+def direct_full_level(params, omega_m, xt1, xt2, k_max, k_struct, scale,
+                      budget, spent):
+    """One full-quadrature level over every ordered pair (p, q) of each cavity.
+
+    The unfolded evaluation of the tensor Gauss-Legendre rule: full n^2
+    pair arrays and 4096-row blocks of the kernel 1/(c (K1 + K2)).
+    """
+    def pair_arrays(xt):
+        k, w = _axis_rule(xt, k_max, k_struct, scale)
+        amp = w * np.sin(k * xt) * np.exp(-params.c * k / omega_m)
+        return np.outer(amp, amp).ravel(), (k[:, None] + k[None, :]).ravel()
+
+    w0, c = params.omega0, params.c
+    P1, K1 = pair_arrays(xt1)
+    P2, K2 = pair_arrays(xt2)
+    cost = K1.size * K2.size
+    if spent + cost > budget:
+        return None, cost
+    D1 = 1.0 / (w0 + c * K1)
+    D2 = 1.0 / (w0 + c * K2)
+    t1 = float(np.dot(P1, D1) * np.dot(P2, D2))
+    cross = 0.0
+    block = 4096
+    P2D2 = P2 * D2
+    for lo in range(0, K1.size, block):
+        hi = min(lo + block, K1.size)
+        Kb = 1.0 / (c * (K1[lo:hi, None] + K2[None, :]))
+        cross += float((P1[lo:hi] * D1[lo:hi]) @ (Kb @ P2))
+        cross += float(P1[lo:hi] @ (Kb @ P2D2))
+    return t1 + cross, cost
 
 
 def params_for_lambda(lam, omega0=1.0, length=1.0, hbar=1.0, c=1.0):

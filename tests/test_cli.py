@@ -122,6 +122,17 @@ def test_scaling_cli_mass_slope(tmp_path):
         assert abs(s - (-1.0)) < 1e-9
 
 
+def test_scaling_cli_far_field_distance_slope(tmp_path):
+    out = tmp_path / "far.csv"
+    rc = main(["scaling", "--quantity", "far_field", "--axis", "distance",
+               "--points", "10:40:3:log", "-o", str(out)])
+    assert rc == 0
+    _, header, rows = read_csv(out)
+    assert col(header, rows, "method", str) == ["far_field"] * 3
+    for s in col(header, rows, "log_slope"):
+        assert abs(s - (-3.0)) < 1e-6
+
+
 def test_spectrum_cli(tmp_path):
     out = tmp_path / "spec.csv"
     rc = main(["spectrum", "--m", "50", "--cutoff", "exp:30", "-o", str(out)])

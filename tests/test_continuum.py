@@ -1,14 +1,18 @@
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
 import pytest
 from scipy.integrate import dblquad, quad
 
+from vacmirror import continuum
 from vacmirror import (ConvergenceError, CutoffSpec, PhysicalParams,
                        UsageError, asymptotic_correlation,
                        continuum_correlation, far_field_correlation,
                        scaling_probe, squared_field_correlation_discrete)
+
+from conftest import direct_full_level
 
 # frozen from an independent 30-digit evaluation of 1/(2^9 pi^4)
 ASYM_UNIT = -2.0050746591180342e-05
@@ -84,6 +88,37 @@ def test_full_quadrature_budget_failure(params_unit):
         continuum_correlation(params_unit, 10.0, 0.1, 0.12,
                               method="full_quadrature", budget=1e4)
     assert exc.value.achieved_rel_tol is not None
+
+
+@pytest.mark.parametrize("scale", [1.0, 1.5])
+@pytest.mark.parametrize("xt1, xt2, wm", [(0.08, 0.10, 10.0), (0.12, 0.09, 12.0),
+                                          (0.5, 0.5, 1.0)])
+def test_full_level_matches_unfolded_sum(xt1, xt2, wm, scale):
+    # the folded, blocked level evaluates the same rule as the direct sum
+    # over every ordered pair; xt1 != xt2 checks that the fold treats the
+    # two cavities separately.  Non-unit c and omega0 keep the 1/c of the
+    # kernel in play
+    p = PhysicalParams(mass=1.0, omega0=0.8, length=1.0, c=1.25)
+    k_max = 20.0 * wm / p.c
+    k_struct = min(p.omega0, wm) / p.c
+    args = (p, wm, xt1, xt2, k_max, k_struct, scale, 1e12, 0)
+    total, cost = continuum._full_level(*args)
+    ref, ref_cost = direct_full_level(*args)
+    assert cost == ref_cost
+    assert abs(total - ref) <= 1e-13 * abs(ref)
+
+
+def test_full_quadrature_memory_bound(params_unit):
+    # the kernel is contracted in fixed-size blocks: the benchmark point
+    # (8.6e8 nominal summands) stays within a few MiB of Python allocations
+    tracemalloc.start()
+    try:
+        continuum_correlation(params_unit, 15.0, 0.15, 0.15, rel_tol=1e-7,
+                              method="full_quadrature", budget=4e9)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * 2**20
 
 
 def test_paths_agree(params_unit):

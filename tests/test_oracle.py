@@ -201,6 +201,24 @@ def test_energy_density_second_order_state_tracks_exact():
     assert 3.0 <= rels[0] / rels[1] <= 5.0, rels
 
 
+def test_renormalized_expectation_keeps_small_values():
+    # at coupling_scale 1e-5 the renormalized energy density is ~1e-14 of
+    # the vacuum value; the subtraction must happen inside the quadratic
+    # form for the second-order state to reproduce the closed form
+    lam, x, scale = 0.0125, 0.8, 1e-5
+    p = params_for_lambda(lam)
+    model = build_hamiltonian(p, TruncationSpec(2, 6, 6), "one",
+                              coupling_scale=scale)
+    psi2 = perturbative_state(model, order=2)
+    psi2 /= np.linalg.norm(psi2)
+    num = expectation(model, psi2, ("energy_density", x)) / scale**2
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", UserWarning)
+        ana = delta_energy_density(p, CutoffSpec.sharp_n_modes(p, 2), [x],
+                                   state="second_order").values[0]
+    assert abs(num - ana) <= 1e-8 * abs(ana)
+
+
 def test_expectation_validation(params_weak):
     model = build_hamiltonian(params_weak, small_trunc(), "one")
     res = ground_state(model)
