@@ -31,7 +31,6 @@ from .perturb import (DressedAmplitudes, PhotonSpectrum, dressed_amplitudes,
 from .single_cavity import (ObservableProfile, default_grid, delta_energy_density,
                             delta_phi_squared, em_field_fluctuations)
 from .two_cavity import (CorrelationGrid, phi_phi_cross_correlation,
-                         single_cavity_reduction_check,
                          squared_field_correlation_discrete)
 from .continuum import (ContinuumPoint, ProbePoint, asymptotic_correlation,
                         continuum_correlation, far_field_correlation,
@@ -50,7 +49,7 @@ __all__ = [
     "ObservableProfile", "default_grid", "delta_energy_density",
     "em_field_fluctuations", "delta_phi_squared",
     "CorrelationGrid", "squared_field_correlation_discrete",
-    "phi_phi_cross_correlation", "single_cavity_reduction_check",
+    "phi_phi_cross_correlation",
     "ContinuumPoint", "ProbePoint", "asymptotic_correlation",
     "continuum_correlation", "far_field_correlation", "scaling_probe",
     "TruncationSpec", "OracleModel", "OracleResult", "build_hamiltonian",

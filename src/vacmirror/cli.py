@@ -36,8 +36,6 @@ from .two_cavity import squared_field_correlation_discrete
 SI_HBAR = 1.054571817e-34
 SI_C = 2.99792458e8
 
-THREADS_ENV = "VACMIRROR_THREADS"
-
 # configuration keys that may be swept and coerced to float
 SWEEPABLE = {"mass", "omega0", "length", "cutoff_omega_m", "xt1", "xt2",
              "bin_width", "rel_tol"}
@@ -105,8 +103,8 @@ def build_parser() -> argparse.ArgumentParser:
                        help="explicit mode count overriding the cutoff size")
         p.add_argument("--sweep", default=None, metavar="NAME=SPEC",
                        help="sweep one parameter (e.g. mass=1:16:5:log)")
-        p.add_argument("--threads", type=int, default=None,
-                       help=f"worker threads for sweeps (default ${THREADS_ENV} or 1)")
+        p.add_argument("--threads", type=int, default=1,
+                       help="worker threads for sweeps (default 1)")
         p.add_argument("-o", "--output", required=True, help="output CSV path")
 
     p = sub.add_parser("energy-shift", help="ground-state energy shift")
@@ -273,9 +271,7 @@ def build_config(args) -> dict:
     else:
         cfg.update(sweep_param=None, sweep_spec=None)
 
-    threads = getattr(args, "threads", None)
-    if threads is None:
-        threads = int(os.environ.get(THREADS_ENV, "1"))
+    threads = getattr(args, "threads", 1)
     if threads < 1:
         raise ParameterError("threads must be >= 1")
     cfg["threads"] = threads

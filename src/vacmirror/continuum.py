@@ -185,10 +185,21 @@ def _s2(x, a):
 
 
 class _EvalCounter:
-    __slots__ = ("n",)
+    """Integrand evaluations; the one past the budget stops the quadrature."""
 
-    def __init__(self):
+    __slots__ = ("n", "budget")
+
+    def __init__(self, budget):
         self.n = 0
+        self.budget = budget
+
+    def tick(self):
+        self.n += 1
+        if self.n > self.budget:
+            raise ConvergenceError(
+                f"partial-analytic quadrature stopped at its evaluation "
+                f"budget of {self.budget:.1e} integrand evaluations",
+                achieved_rel_tol=math.inf)
 
 
 def _a_integral(params, omega_m, xt, offset, epsrel, counter):
@@ -197,7 +208,7 @@ def _a_integral(params, omega_m, xt, offset, epsrel, counter):
     base = offset + c / omega_m
 
     def f(t):
-        counter.n += 1
+        counter.tick()
         return math.exp(-w0 * t) * _s2(xt, base + c * t)
 
     val, err = quad(f, 0.0, np.inf, epsabs=0.0, epsrel=epsrel, limit=400)
@@ -210,7 +221,7 @@ def _b_integral(params, omega_m, xt_a, xt_b, epsrel, counter):
     off0 = c / omega_m
 
     def outer(u):
-        counter.n += 1
+        counter.tick()
         inner, _ = _a_integral(params, omega_m, xt_a, c * u, epsrel / 4.0, counter)
         return _s2(xt_b, off0 + c * u) * inner
 
@@ -219,7 +230,7 @@ def _b_integral(params, omega_m, xt_a, xt_b, epsrel, counter):
 
 
 def _partial_analytic(params, omega_m, xt1, xt2, rel_tol, budget):
-    counter = _EvalCounter()
+    counter = _EvalCounter(budget)
     eps = rel_tol / 8.0
     a1, e1 = _a_integral(params, omega_m, xt1, 0.0, eps, counter)
     a2, e2 = _a_integral(params, omega_m, xt2, 0.0, eps, counter)
@@ -232,7 +243,7 @@ def _partial_analytic(params, omega_m, xt1, xt2, rel_tol, budget):
     achieved = abs_err / abs(total) if total != 0.0 else math.inf
     pre = params.hbar**3 * params.c**4 / (math.pi**4 * params.mass * params.omega0)
     value = -pre * total
-    if counter.n > budget or achieved > rel_tol:
+    if achieved > rel_tol:
         raise ConvergenceError(
             f"partial-analytic quadrature reached relative tolerance "
             f"{achieved:.2e} (requested {rel_tol:.2e}) after {counter.n} "
@@ -374,8 +385,9 @@ def continuum_correlation(params: PhysicalParams, omega_m: float,
         Evaluation path; the two agree within their reported tolerances.
     budget : float
         Cap on integrand evaluations (partial_analytic) or nominal tensor
-        summands (full_quadrature) before giving up with a
-        ConvergenceError carrying the best estimate.
+        summands (full_quadrature).  Passing it raises ConvergenceError:
+        partial_analytic stops at the first evaluation over the cap and
+        has no estimate; full_quadrature carries the best estimate.
     """
     if xt1 <= 0 or xt2 <= 0:
         raise UsageError(f"distances must be positive, got xt1={xt1}, xt2={xt2}")

@@ -6,11 +6,29 @@ Non-perturbative ground truth at small mode counts: the Hamiltonian
         - (b + b^dag) sum_kj C_kj (a_k a_j + a_k^dag a_j^dag
                                    + a_j^dag a_k + a_k^dag a_j)
 
-is assembled on a Fock basis truncated in photons per mode and mirror
-quanta (the normal-ordered interaction carries no vacuum constant; the
-two-cavity variant adds a second field with couplings -C_kj).  Lowest
-eigenpairs come from a dense solve below a size threshold and a Lanczos
-solve above it.
+is assembled on the plain tensor basis of Fock states truncated in
+photons per mode and mirror quanta, mirror first (the normal-ordered
+interaction carries no vacuum constant; the two-cavity variant adds a
+second field with couplings -C_kj).  Lowest eigenpairs come from a dense
+solve below a size threshold and a Lanczos solve above it.
+
+The coupling is rank one (Law, PRA 51, 2537 (1995)): C_kj = u_k u_j with
+u_k = (-1)^k sqrt(C_kk).  With Q = sum_k u_k (a_k + a_k^dag) the pair sum
+is the normal-ordered :Q^2:, so
+
+    V = -(b + b^dag) x sum_cav sigma_cav :Q_cav^2:,   sigma = +1 left, -1 right.
+
+The k != j terms of Q^2 are those of the pair sum, since ladders of
+different modes commute.  The k = j term of Q^2 is
+u_k^2 (a^2 + a^dag^2 + a a^dag + a^dag a) where the pair sum has
+u_k^2 (a^2 + a^dag^2 + 2 a^dag a); the difference is the truncated
+commutator [a, a^dag]_trunc = diag(1, ..., 1, -n_cap), so
+
+    :Q^2: = Q^2 - sum_k u_k^2 [a_k, a_k^dag]_trunc
+
+holds exactly on the truncated ladders.  V is one kron of the mirror
+quadrature with this photon factor; Q, the commutator sum and the field
+operators are all single-mode ladder sums on that factor.
 
 Caveat for strong coupling: the model is only metastable.  At mirror
 displacement xi = <b + b^dag> beyond 1/(2 lambda N) (N field modes with
@@ -24,15 +42,16 @@ convergence protocol in `converged_ground_energy` certifies that.
 
 from __future__ import annotations
 
+import dataclasses
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from .errors import CapacityError, ParameterError, UsageError
-from .model import CavityTag, PhysicalParams, two_cavity_coupling
+from .errors import CapacityError, ConvergenceError, ParameterError, UsageError
+from .model import CavityTag, PhysicalParams, coupling_matrix_element
 
 __all__ = [
     "TruncationSpec",
@@ -50,12 +69,17 @@ DENSE_SOLVE_LIMIT = 5_000
 
 @dataclass(frozen=True)
 class TruncationSpec:
-    """Hilbert-space truncation for the exact-diagonalization oracle."""
+    """Hilbert-space truncation for the exact-diagonalization oracle.
+
+    Every photon mode keeps occupations 0..max_photons_per_mode and the
+    mirror 0..max_mirror_quanta; the basis is the full tensor product of
+    these, and a product above dim_limit raises `CapacityError` before
+    anything is allocated.
+    """
 
     modes_per_cavity: int = 1
     max_photons_per_mode: int = 6
     max_mirror_quanta: int = 6
-    total_excitation_cap: int | None = None
     dim_limit: int = 20_000
 
     def __post_init__(self):
@@ -77,8 +101,7 @@ class OracleModel:
     v: sp.csr_matrix                   # interaction part
     occupations: np.ndarray            # (dim, n_subsystems): mirror first
     mode_frequencies: np.ndarray
-    kept: np.ndarray                   # indices into the full tensor basis
-    dims: tuple = field(default=())
+    dims: tuple                        # tensor factor sizes, mirror first
 
     @property
     def h(self) -> sp.csr_matrix:
@@ -87,12 +110,6 @@ class OracleModel:
     @property
     def dim(self) -> int:
         return int(self.h0_diag.size)
-
-    def photon_columns(self, cavity: CavityTag) -> slice:
-        m = self.truncation.modes_per_cavity
-        if self.cavities == "one" or cavity in (CavityTag.SINGLE, CavityTag.LEFT):
-            return slice(1, 1 + m)
-        return slice(1 + m, 1 + 2 * m)
 
 
 @dataclass(frozen=True)
@@ -110,12 +127,20 @@ def _ladder(n: int) -> sp.csr_matrix:
     return sp.diags(np.sqrt(np.arange(1, n)), 1).tocsr()
 
 
-def _embed(op: sp.spmatrix, site: int, dims) -> sp.csr_matrix:
-    mats = [sp.identity(d, format="csr") for d in dims]
-    mats[site] = op.tocsr()
-    out = mats[0]
-    for m in mats[1:]:
-        out = sp.kron(out, m, format="csr")
+def _ladder_sum(dims, coeffs, op) -> sp.csr_matrix:
+    """sum_i coeffs[i] op(a_i) on the photon factor with tensor sizes dims.
+
+    a_i is the ladder of photon mode i; modes with a zero coefficient
+    are skipped.
+    """
+    size = math.prod(dims)
+    out = sp.csr_matrix((size, size))
+    for i, c in enumerate(coeffs):
+        if c != 0.0:
+            local = op(_ladder(dims[i]))
+            term = sp.kron(sp.identity(math.prod(dims[:i])), local)
+            out = out + c * sp.kron(term, sp.identity(math.prod(dims[i + 1:])),
+                                    format="csr")
     return out
 
 
@@ -138,46 +163,36 @@ def build_hamiltonian(params: PhysicalParams, truncation: TruncationSpec,
     m = truncation.modes_per_cavity
     n_fields = m if cavities == "one" else 2 * m
     dims = (truncation.max_mirror_quanta + 1,) + (truncation.max_photons_per_mode + 1,) * n_fields
-    full_dim = int(np.prod(dims))
-
-    grids = np.indices(dims).reshape(len(dims), -1).T      # (full_dim, nsub)
-    if truncation.total_excitation_cap is not None:
-        kept = np.nonzero(grids.sum(axis=1) <= truncation.total_excitation_cap)[0]
-    else:
-        kept = np.arange(full_dim)
-    dim = kept.size
+    dim = math.prod(dims)
     if dim > truncation.dim_limit:
         raise CapacityError(
             f"truncated basis has dimension {dim}, above the limit "
             f"{truncation.dim_limit}")
 
     w = params.omega1 * np.arange(1, m + 1, dtype=float)
-    occ = grids[kept]
+    occ = np.indices(dims).reshape(len(dims), -1).T        # (dim, nsub)
     h0 = params.hbar * (params.omega0 * occ[:, 0]).astype(float)
     for c_idx in range(n_fields):
         h0 = h0 + params.hbar * w[c_idx % m] * occ[:, 1 + c_idx]
 
-    # interaction, assembled in the full tensor space then projected
-    b = _embed(_ladder(dims[0]), 0, dims)
-    x_mirror = b + b.T
-    ladders = [_embed(_ladder(dims[1 + i]), 1 + i, dims) for i in range(n_fields)]
-
-    v = sp.csr_matrix((full_dim, full_dim))
-    blocks = [(0, CavityTag.LEFT)] if cavities == "one" else \
-             [(0, CavityTag.LEFT), (m, CavityTag.RIGHT)]
-    for offset, tag in blocks:
-        for k in range(1, m + 1):
-            for j in range(1, m + 1):
-                ckj = two_cavity_coupling(params, tag, k, j)
-                ak = ladders[offset + k - 1]
-                aj = ladders[offset + j - 1]
-                pair = ak @ aj + ak.T @ aj.T + aj.T @ ak + ak.T @ aj
-                v = v - (coupling_scale * ckj) * (x_mirror @ pair)
-    v = v.tocsr()[kept][:, kept]
+    # V = -(b + b^dag) x sum_cav sigma_cav (Q_cav^2 - sum_k u_k^2 [a_k, a_k^dag])
+    u = np.array([(-1.0) ** k * math.sqrt(coupling_matrix_element(params, k, k))
+                  for k in range(1, m + 1)])
+    photon_dims = dims[1:]
+    photon = sp.csr_matrix((math.prod(photon_dims),) * 2)
+    for cav, sigma in enumerate((1.0,) if cavities == "one" else (1.0, -1.0)):
+        coeffs = np.zeros(n_fields)
+        coeffs[cav * m:(cav + 1) * m] = u
+        q = _ladder_sum(photon_dims, coeffs, lambda a: a + a.T)
+        comm = _ladder_sum(photon_dims, coeffs**2, lambda a: a @ a.T - a.T @ a)
+        photon = photon + sigma * (q @ q - comm)
+    x_mirror = _ladder(dims[0]) + _ladder(dims[0]).T
+    v = sp.kron(x_mirror, -coupling_scale * photon, format="csr")
+    v.eliminate_zeros()
 
     return OracleModel(params=params, truncation=truncation, cavities=cavities,
                        h0_diag=h0, v=v, occupations=occ,
-                       mode_frequencies=w, kept=kept, dims=dims)
+                       mode_frequencies=w, dims=dims)
 
 
 def ground_state(model: OracleModel, solver_tol: float = 1e-12) -> OracleResult:
@@ -188,19 +203,16 @@ def ground_state(model: OracleModel, solver_tol: float = 1e-12) -> OracleResult:
     dim = model.dim
     if dim <= DENSE_SOLVE_LIMIT:
         evals, evecs = eigh(H.toarray(), subset_by_index=[0, 0])
-        e0 = float(evals[0])
-        vec = evecs[:, 0]
     else:
         try:
             evals, evecs = spla.eigsh(H, k=1, which="SA", tol=solver_tol,
                                       maxiter=10_000)
         except spla.ArpackNoConvergence as exc:
-            from .errors import ConvergenceError
             best = float(exc.eigenvalues[0]) if len(exc.eigenvalues) else None
             raise ConvergenceError(f"eigensolver did not converge: {exc}",
                                    best_estimate=best) from exc
-        e0 = float(evals[0])
-        vec = evecs[:, 0]
+    e0 = float(evals[0])
+    vec = evecs[:, 0]
     if vec[np.argmax(np.abs(vec))] < 0:
         vec = -vec
     residual = float(np.linalg.norm(H @ vec - e0 * vec))
@@ -224,29 +236,26 @@ def _field_operator(model: OracleModel, cavity: CavityTag, x: float,
     if model.cavities == "one" and cavity is CavityTag.RIGHT:
         raise UsageError("single-cavity model has no right cavity")
     sign = -1.0 if cavity is CavityTag.RIGHT else 1.0
-    dims = model.dims
     m = model.truncation.modes_per_cavity
     offset = m if (model.cavities == "two" and cavity is CavityTag.RIGHT) else 0
-    out = sp.csr_matrix((len(model.kept), len(model.kept)))
-    for i in range(m):
-        k = (i + 1) * math.pi / L
-        w = model.mode_frequencies[i]
-        a_full = _embed(_ladder(dims[1 + offset + i]), 1 + offset + i, dims)
-        a = a_full[model.kept][:, model.kept]
-        amp = sign * math.sqrt(p.hbar * p.c**2 / L)
-        if kind == "phi":
-            out = out + amp * math.sin(k * x) / math.sqrt(w) * (a + a.T)
-        elif kind == "grad":
-            out = out + amp * k * math.cos(k * x) / math.sqrt(w) * (a + a.T)
-        else:
-            out = out + amp * math.sin(k * x) * math.sqrt(w) * (a - a.T)
-    return out.tocsr()
+    k = np.pi / L * np.arange(1, m + 1)
+    w = model.mode_frequencies
+    if kind == "phi":
+        per_mode = np.sin(k * x) / np.sqrt(w)
+    elif kind == "grad":
+        per_mode = k * np.cos(k * x) / np.sqrt(w)
+    else:
+        per_mode = np.sin(k * x) * np.sqrt(w)
+    coeffs = np.zeros(len(model.dims) - 1)
+    coeffs[offset:offset + m] = sign * math.sqrt(p.hbar * p.c**2 / L) * per_mode
+    op = (lambda a: a - a.T) if kind == "dot" else (lambda a: a + a.T)
+    photon = _ladder_sum(model.dims[1:], coeffs, op)
+    return sp.kron(sp.identity(model.dims[0]), photon, format="csr")
 
 
 def _vacuum_vector(model: OracleModel) -> np.ndarray:
     vac = np.zeros(model.dim)
-    idx = np.nonzero((model.occupations == 0).all(axis=1))[0]
-    vac[idx[0]] = 1.0
+    vac[0] = 1.0                       # all occupations zero come first
     return vac
 
 
@@ -350,12 +359,10 @@ def converged_ground_energy(params: PhysicalParams, truncation: TruncationSpec,
     `rel_change`.  Returns (energy, certified, relative_change).
     """
     base = ground_state(build_hamiltonian(params, truncation, cavities))
-    bumped_spec = TruncationSpec(
-        modes_per_cavity=truncation.modes_per_cavity,
+    bumped_spec = dataclasses.replace(
+        truncation,
         max_photons_per_mode=truncation.max_photons_per_mode + step,
-        max_mirror_quanta=truncation.max_mirror_quanta + step,
-        total_excitation_cap=truncation.total_excitation_cap,
-        dim_limit=truncation.dim_limit)
+        max_mirror_quanta=truncation.max_mirror_quanta + step)
     bumped = ground_state(build_hamiltonian(params, bumped_spec, cavities))
     delta = abs(bumped.ground_energy - base.ground_energy) / max(abs(base.ground_energy), 1e-300)
     return base.ground_energy, bool(delta < rel_change), float(delta)

@@ -38,17 +38,14 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import UsageError
 from .model import CutoffSpec, PhysicalParams, mode_tables
-from .single_cavity import ObservableProfile
 
 __all__ = [
     "CorrelationGrid",
     "squared_field_correlation_discrete",
     "phi_phi_cross_correlation",
-    "single_cavity_reduction_check",
 ]
 
 _KERNEL_BLOCK = 512
@@ -186,25 +183,3 @@ def phi_phi_cross_correlation(params: PhysicalParams, cutoff: CutoffSpec,
     _check_grid("x1", [x1], 0.0, L)
     _check_grid("x2", [x2], L, 2.0 * L)
     return 0.0
-
-
-def single_cavity_reduction_check(params: PhysicalParams, cutoff: CutoffSpec,
-                                  grid, n_max: int | None = None) -> ObservableProfile:
-    """<phi^2(x1)> correction rebuilt from the two-cavity machinery.
-
-    Uses the same damped sine tables and first-order denominators as the
-    correlation engine, restricted to cavity 1.  Must agree with
-    single_cavity.delta_phi_squared on the same mode set, which ties the
-    two-cavity tables to the independently coded single-cavity profiles.
-    """
-    L = params.length
-    x = _check_grid("grid", grid, 0.0, L)
-    modes, damp, _, _, h = mode_tables(params, cutoff, n_max)
-    xt = L - x
-    v = _sine_tables(modes, damp, xt)                  # (N, X)
-    Pj = sliding_window_view(h, len(modes)) @ v         # (N, X)
-    vals = (modes.frequencies * damp) @ (Pj**2)
-    pre = (params.hbar**2 * params.c**2
-           / (L**3 * params.mass * params.omega0))
-    return ObservableProfile("delta_phi_squared", x, pre * vals, params,
-                             cutoff, "fixed", len(modes))

@@ -9,9 +9,13 @@ import math
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
+from numpy.lib.stride_tricks import sliding_window_view
 
-from vacmirror import PhysicalParams
+from vacmirror import CavityTag, ObservableProfile, PhysicalParams
 from vacmirror.continuum import _axis_rule
+from vacmirror.model import mode_tables, two_cavity_coupling
+from vacmirror.two_cavity import _check_grid, _sine_tables
 
 
 @pytest.fixture
@@ -212,3 +216,65 @@ def params_for_lambda(lam, omega0=1.0, length=1.0, hbar=1.0, c=1.0):
     """Mirror mass giving the requested dimensionless coupling."""
     mass = hbar / (8.0 * lam**2 * omega0 * length**2)
     return PhysicalParams(mass=mass, omega0=omega0, length=length, hbar=hbar, c=c)
+
+
+def single_cavity_reduction_check(params, cutoff, grid, n_max=None):
+    """<phi^2(x1)> correction rebuilt from the two-cavity machinery.
+
+    Uses the same damped sine tables and first-order denominators as the
+    correlation engine, restricted to cavity 1.  Must agree with
+    single_cavity.delta_phi_squared on the same mode set, which ties the
+    two-cavity tables to the independently coded single-cavity profiles.
+    """
+    L = params.length
+    x = _check_grid("grid", grid, 0.0, L)
+    modes, damp, _, _, h = mode_tables(params, cutoff, n_max)
+    xt = L - x
+    v = _sine_tables(modes, damp, xt)                  # (N, X)
+    Pj = sliding_window_view(h, len(modes)) @ v         # (N, X)
+    vals = (modes.frequencies * damp) @ (Pj**2)
+    pre = (params.hbar**2 * params.c**2
+           / (L**3 * params.mass * params.omega0))
+    return ObservableProfile("delta_phi_squared", x, pre * vals, params,
+                             cutoff, "fixed", len(modes))
+
+
+def pairwise_interaction(params, truncation, cavities, coupling_scale=1.0):
+    """Oracle interaction V assembled mode pair by mode pair.
+
+    For every pair (k, j) of each cavity it adds
+    -C_kj (b + b^dag)(a_k a_j + a_k^dag a_j^dag + a_j^dag a_k + a_k^dag a_j),
+    with every ladder embedded in the full tensor space (mirror first).
+    """
+    def _ladder(n):
+        return sp.diags(np.sqrt(np.arange(1, n)), 1).tocsr()
+
+    def _embed(op, site, dims):
+        mats = [sp.identity(d, format="csr") for d in dims]
+        mats[site] = op.tocsr()
+        out = mats[0]
+        for m in mats[1:]:
+            out = sp.kron(out, m, format="csr")
+        return out
+
+    m = truncation.modes_per_cavity
+    n_fields = m if cavities == "one" else 2 * m
+    dims = (truncation.max_mirror_quanta + 1,) + (truncation.max_photons_per_mode + 1,) * n_fields
+    full_dim = int(np.prod(dims))
+
+    b = _embed(_ladder(dims[0]), 0, dims)
+    x_mirror = b + b.T
+    ladders = [_embed(_ladder(dims[1 + i]), 1 + i, dims) for i in range(n_fields)]
+
+    v = sp.csr_matrix((full_dim, full_dim))
+    blocks = [(0, CavityTag.LEFT)] if cavities == "one" else \
+             [(0, CavityTag.LEFT), (m, CavityTag.RIGHT)]
+    for offset, tag in blocks:
+        for k in range(1, m + 1):
+            for j in range(1, m + 1):
+                ckj = two_cavity_coupling(params, tag, k, j)
+                ak = ladders[offset + k - 1]
+                aj = ladders[offset + j - 1]
+                pair = ak @ aj + ak.T @ aj.T + aj.T @ ak + ak.T @ aj
+                v = v - (coupling_scale * ckj) * (x_mirror @ pair)
+    return v.tocsr()

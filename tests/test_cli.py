@@ -98,6 +98,15 @@ def test_determinism_and_thread_invariance(tmp_path):
     assert out1.read_bytes() == out2.read_bytes()
 
 
+def test_threads_ignore_environment(tmp_path, monkeypatch):
+    # --threads is the only thread knob; its default is 1
+    monkeypatch.setenv("VACMIRROR_THREADS", "abc")
+    out = tmp_path / "de.csv"
+    assert main(["energy-shift", "--m", "10", "-o", str(out)]) == 0
+    meta = json.loads(open(sidecar_path(str(out))).read())
+    assert meta["threads"] == 1
+
+
 def test_sweep_near_wall_monotone_in_cutoff(tmp_path):
     out = tmp_path / "sweep.csv"
     rc = main(["energy-density", "--m", "15.9154943091895349", "--omega0",

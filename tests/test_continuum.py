@@ -90,6 +90,19 @@ def test_full_quadrature_budget_failure(params_unit):
     assert exc.value.achieved_rel_tol is not None
 
 
+def test_partial_analytic_budget_stops_work(params_unit, monkeypatch):
+    # every integrand evaluation calls _s2 once; the budget must stop the
+    # quadrature, not only be compared with the count afterwards
+    calls = []
+    s2 = continuum._s2
+    monkeypatch.setattr(continuum, "_s2", lambda x, a: calls.append(1) or s2(x, a))
+    with pytest.raises(ConvergenceError, match="budget") as exc:
+        continuum_correlation(params_unit, 10.0, 0.1, 0.12, rel_tol=1e-8,
+                              budget=10)
+    assert len(calls) <= 11
+    assert exc.value.best_estimate is None
+
+
 @pytest.mark.parametrize("scale", [1.0, 1.5])
 @pytest.mark.parametrize("xt1, xt2, wm", [(0.08, 0.10, 10.0), (0.12, 0.09, 12.0),
                                           (0.5, 0.5, 1.0)])

@@ -1,15 +1,17 @@
+import tracemalloc
 import warnings
 
 import numpy as np
 import pytest
 
-from vacmirror import (CapacityError, CutoffSpec, TruncationSpec, UsageError,
-                       build_hamiltonian, coupling_matrix_element,
-                       delta_energy_density, energy_shift, expectation,
-                       ground_state, perturbative_state,
-                       squared_field_correlation_discrete)
+import vacmirror.oracle as oracle
+from vacmirror import (CapacityError, CutoffSpec, PhysicalParams,
+                       TruncationSpec, UsageError, build_hamiltonian,
+                       coupling_matrix_element, delta_energy_density,
+                       energy_shift, expectation, ground_state,
+                       perturbative_state, squared_field_correlation_discrete)
 
-from conftest import params_for_lambda
+from conftest import pairwise_interaction, params_for_lambda
 
 
 def small_trunc(modes=2, nph=4, nmir=3):
@@ -78,6 +80,43 @@ def test_capacity_limit(params_weak):
     with pytest.raises(CapacityError):
         build_hamiltonian(params_weak,
                           TruncationSpec(2, 20, 20, dim_limit=1000), "one")
+
+
+@pytest.mark.parametrize("spec, cavities", [
+    ((1, 6, 6), "one"), ((1, 6, 6), "two"), ((2, 4, 4), "two"),
+    ((3, 3, 4), "two"), ((4, 2, 3), "one")])
+def test_interaction_matches_pairwise_assembly(spec, cavities):
+    # the rank-one x :Q^2: build against the sum over every mode pair
+    p = PhysicalParams(mass=3.0, omega0=0.8, length=1.3, hbar=1.7, c=1.25)
+    trunc = TruncationSpec(*spec, dim_limit=25_000)
+    v = build_hamiltonian(p, trunc, cavities, coupling_scale=0.7).v
+    ref = pairwise_interaction(p, trunc, cavities, coupling_scale=0.7)
+    assert abs(v - ref).max() <= 1e-14 * abs(ref).max()
+
+
+def test_capacity_error_before_allocation(params_weak):
+    # 7^7 = 823543 states: the dimension is checked before any array exists
+    tracemalloc.start()
+    try:
+        with pytest.raises(CapacityError):
+            build_hamiltonian(params_weak, TruncationSpec(3, 6, 6), "two")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
+
+
+def test_lanczos_branch_matches_dense(params_weak, monkeypatch):
+    # the sparse eigsh path above DENSE_SOLVE_LIMIT against the dense eigh
+    model = build_hamiltonian(params_weak, TruncationSpec(2, 6, 6), "one")
+    assert model.dim == 343
+    dense = ground_state(model)
+    monkeypatch.setattr(oracle, "DENSE_SOLVE_LIMIT", 100)
+    lanczos = ground_state(model)
+    e0 = dense.ground_energy
+    assert abs(lanczos.ground_energy - e0) <= 1e-12 * abs(e0)
+    assert np.abs(lanczos.vector - dense.vector).max() <= 1e-10
+    assert lanczos.residual_norm <= 1e-9
 
 
 def test_residual_small(params_weak):

@@ -5,10 +5,10 @@ import pytest
 
 from vacmirror import (CutoffSpec, UsageError, delta_phi_squared,
                        phi_phi_cross_correlation,
-                       single_cavity_reduction_check,
                        squared_field_correlation_discrete)
 
-from conftest import brute_correlation, params_for_lambda
+from conftest import (brute_correlation, params_for_lambda,
+                      single_cavity_reduction_check)
 
 
 def test_correlation_vs_enumeration(params_weak):
