@@ -25,7 +25,7 @@ Natural units hbar = c = 1 by default; SI values can be supplied via
 from .errors import (CapacityError, ConvergenceError, DegenerateModeSetError,
                      ParameterError, UsageError)
 from .model import (CavityTag, CutoffSpec, ModeSet, PhysicalParams,
-                    coupling_matrix_element, cutoff_weight, two_cavity_coupling)
+                    coupling_matrix_element, cutoff_weight)
 from .perturb import (DressedAmplitudes, PhotonSpectrum, dressed_amplitudes,
                       energy_shift, energy_shift_from_amplitudes, photon_spectrum)
 from .single_cavity import (ObservableProfile, default_grid, delta_energy_density,
@@ -43,7 +43,7 @@ __version__ = "0.1.0"
 
 __all__ = [
     "PhysicalParams", "CutoffSpec", "ModeSet", "CavityTag",
-    "coupling_matrix_element", "two_cavity_coupling", "cutoff_weight",
+    "coupling_matrix_element", "cutoff_weight",
     "DressedAmplitudes", "PhotonSpectrum", "energy_shift",
     "energy_shift_from_amplitudes", "dressed_amplitudes", "photon_spectrum",
     "ObservableProfile", "default_grid", "delta_energy_density",

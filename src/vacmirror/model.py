@@ -35,7 +35,11 @@ import numpy as np
 
 from .errors import CapacityError, DegenerateModeSetError, ParameterError, UsageError
 
-# Hard limit on the number of field modes a single discrete sum may use.
+# Limit on the number of field modes a mode table may hold.  Only the O(N)
+# energy shift can reach it: the profiles hold N x N float64 arrays and
+# the photon spectrum a dozen arrays over the N (N + 1) / 2 pairs, so both
+# run out of memory far below it (energy-density ran at N = 11728 and
+# failed at N = 36842 under a 3 GB address-space cap).
 MAX_MODES = 200_000
 
 # Auto-sized exponential-cutoff mode sets keep every per-mode damping
@@ -216,15 +220,6 @@ def coupling_matrix_element(params: PhysicalParams, k: int, j: int) -> float:
     wj = j * params.omega1
     mag = math.sqrt(params.hbar**3 * wk * wj / (8.0 * params.mass * params.omega0))
     return (-1.0) ** ((k + j) % 2) * mag / params.length
-
-
-def two_cavity_coupling(params: PhysicalParams, cavity: CavityTag, k: int, j: int) -> float:
-    """Coupling of the mirror to the left (C_kj) or right (-C_kj) cavity."""
-    if cavity is CavityTag.LEFT:
-        return coupling_matrix_element(params, k, j)
-    if cavity is CavityTag.RIGHT:
-        return -coupling_matrix_element(params, k, j)
-    raise UsageError("two_cavity_coupling needs cavity LEFT or RIGHT, not SINGLE")
 
 
 def _cutoff_factor(spec: CutoffSpec, total, largest):

@@ -12,9 +12,10 @@ import pytest
 import scipy.sparse as sp
 from numpy.lib.stride_tricks import sliding_window_view
 
-from vacmirror import CavityTag, ObservableProfile, PhysicalParams
+from vacmirror import (CavityTag, ObservableProfile, PhysicalParams, UsageError,
+                       coupling_matrix_element)
 from vacmirror.continuum import _axis_rule
-from vacmirror.model import mode_tables, two_cavity_coupling
+from vacmirror.model import mode_tables
 from vacmirror.two_cavity import _check_grid, _sine_tables
 
 
@@ -239,6 +240,15 @@ def single_cavity_reduction_check(params, cutoff, grid, n_max=None):
                              cutoff, "fixed", len(modes))
 
 
+def two_cavity_coupling(params, cavity, k, j):
+    """Coupling of the mirror to the left (C_kj) or right (-C_kj) cavity."""
+    if cavity is CavityTag.LEFT:
+        return coupling_matrix_element(params, k, j)
+    if cavity is CavityTag.RIGHT:
+        return -coupling_matrix_element(params, k, j)
+    raise UsageError("two_cavity_coupling needs cavity LEFT or RIGHT, not SINGLE")
+
+
 def pairwise_interaction(params, truncation, cavities, coupling_scale=1.0):
     """Oracle interaction V assembled mode pair by mode pair.
 
@@ -278,3 +288,19 @@ def pairwise_interaction(params, truncation, cavities, coupling_scale=1.0):
                 pair = ak @ aj + ak.T @ aj.T + aj.T @ ak + ak.T @ aj
                 v = v - (coupling_scale * ckj) * (x_mirror @ pair)
     return v.tocsr()
+
+
+def dense_ground_state(model):
+    """Lowest eigenpair from one dense eigh of the full truncated H.
+
+    The full-basis reference for the per-sector solver: returns
+    (energy, vector) with the same sign rule as `oracle.ground_state`
+    (largest-magnitude component positive).
+    """
+    from scipy.linalg import eigh
+
+    evals, evecs = eigh(model.h.toarray(), subset_by_index=[0, 0])
+    vec = evecs[:, 0]
+    if vec[np.argmax(np.abs(vec))] < 0:
+        vec = -vec
+    return float(evals[0]), vec

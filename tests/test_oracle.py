@@ -11,7 +11,7 @@ from vacmirror import (CapacityError, CutoffSpec, PhysicalParams,
                        energy_shift, expectation, ground_state,
                        perturbative_state, squared_field_correlation_discrete)
 
-from conftest import pairwise_interaction, params_for_lambda
+from conftest import dense_ground_state, pairwise_interaction, params_for_lambda
 
 
 def small_trunc(modes=2, nph=4, nmir=3):
@@ -64,6 +64,42 @@ def test_parity_superselection():
     occ = model.occupations
     odd = (occ[:, 1] % 2 == 1) | (occ[:, 2] % 2 == 1)
     assert np.abs(res.vector[odd]).max() < 1e-12
+
+
+@pytest.mark.parametrize("lam, spec, cavities, nondegenerate", [
+    (0.025, (2, 4, 4), "two", True),
+    (0.05, (1, 7, 7), "two", True),
+    (0.05, (2, 6, 6), "one", True),
+    (0.05, (2, 8, 8), "one", True),     # collapsed past the instability
+    (0.2, (1, 7, 7), "two", False)])    # odd sectors 1 and 2 tie lowest
+def test_sector_solve_matches_full_basis_eigh(lam, spec, cavities, nondegenerate):
+    model = build_hamiltonian(params_for_lambda(lam), TruncationSpec(*spec), cavities)
+    res = ground_state(model)
+    e_ref, v_ref = dense_ground_state(model)
+    assert abs(res.ground_energy - e_ref) <= 1e-13 * abs(model.h).max()
+    if nondegenerate:
+        assert np.abs(res.vector - v_ref).max() <= 1e-10
+
+
+def test_cross_correlator_check_keeps_odd_sectors():
+    # every element of V keeps each cavity's photon parity, so the sector
+    # solve makes <phi1 phi2> zero by construction; the full-basis state
+    # keeps criterion 3 a check that the odd sectors do not mix in
+    p = PhysicalParams(mass=3.0, omega0=0.8, length=1.3, hbar=1.7, c=1.25)
+    for spec, cavities in [((1, 6, 6), "one"), ((1, 6, 6), "two"),
+                           ((2, 4, 4), "two"), ((3, 3, 4), "two")]:
+        model = build_hamiltonian(p, TruncationSpec(*spec, dim_limit=25_000),
+                                  cavities)
+        m = spec[0]
+        photons = model.occupations[:, 1:]
+        parity = np.stack([photons[:, c * m:(c + 1) * m].sum(axis=1) % 2
+                           for c in range(photons.shape[1] // m)], axis=1)
+        v = model.v.tocoo()
+        assert v.nnz > 0
+        assert np.array_equal(parity[v.row], parity[v.col])
+    model = build_hamiltonian(params_for_lambda(0.05), TruncationSpec(1, 6, 6), "two")
+    _, vec = dense_ground_state(model)
+    assert abs(expectation(model, vec, ("phi1phi2", 0.63, 1.37))) <= 1e-10
 
 
 def test_basis_order_independence(params_weak):
@@ -119,6 +155,19 @@ def test_lanczos_branch_matches_dense(params_weak, monkeypatch):
     assert lanczos.residual_norm <= 1e-9
 
 
+def test_ground_state_memory_bound():
+    # one dense solve of the full dim-3125 basis peaks at 150 MiB; the
+    # largest sector block (dim 845) needs about 12 MiB
+    model = build_hamiltonian(params_for_lambda(0.025), TruncationSpec(2, 4, 4), "two")
+    tracemalloc.start()
+    try:
+        ground_state(model)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 24 * 2**20
+
+
 def test_residual_small(params_weak):
     model = build_hamiltonian(params_weak, small_trunc(), "one")
     res = ground_state(model)
@@ -146,21 +195,36 @@ def test_energy_shift_trend_against_perturbation():
     assert 3.0 <= r2 <= 5.0, rels
 
 
-def test_correlation_trend_against_perturbation():
-    x1, x2 = 0.63, 1.37
+def correlation_rels(spec, lambdas, x1=0.63, x2=1.37):
+    """Relative oracle-versus-perturbation errors of the squared-field
+    correlation, on spec's modes per cavity, one per coupling."""
     rels = []
-    for lam in (0.05, 0.025, 0.0125):
+    for lam in lambdas:
         p = params_for_lambda(lam)
-        model = build_hamiltonian(p, TruncationSpec(1, 7, 7), "two")
+        model = build_hamiltonian(p, spec, "two")
         res = ground_state(model)
         orc = expectation(model, res, ("phi2phi2", x1, x2))
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", UserWarning)
             pert = squared_field_correlation_discrete(
-                p, CutoffSpec.sharp_n_modes(p, 1), [x1], [x2],
+                p, CutoffSpec.sharp_n_modes(p, spec.modes_per_cavity), [x1], [x2],
                 negativity="ignore").values[0, 0]
         assert orc < 0
         rels.append(abs(orc - pert) / abs(pert))
+    return rels
+
+
+def test_correlation_trend_against_perturbation():
+    rels = correlation_rels(TruncationSpec(1, 7, 7), (0.05, 0.025, 0.0125))
+    assert 3.0 <= rels[0] / rels[1] <= 5.0, rels
+    assert 3.0 <= rels[1] / rels[2] <= 5.0, rels
+
+
+def test_two_mode_correlation_trend_against_perturbation():
+    # two modes per cavity exercise the Cauchy cross structure at more
+    # than one pair-sum value; lambda = 0.05 is past the displacement
+    # instability of this truncation
+    rels = correlation_rels(TruncationSpec(2, 4, 4), (0.025, 0.0125, 0.00625))
     assert 3.0 <= rels[0] / rels[1] <= 5.0, rels
     assert 3.0 <= rels[1] / rels[2] <= 5.0, rels
 
