@@ -42,7 +42,9 @@ print(f"  normalization deficit (squared first-order norm) = {amps.lambda_sq:.3e
 
 cut_soft = CutoffSpec.exponential(10 * params.omega0)
 amps_soft = dressed_amplitudes(params, cut_soft)
-spec = photon_spectrum(amps_soft, bin_width=2 * params.omega0)
+# binned from index sums in O(N); the pair-by-pair amplitudes are only
+# needed for the strongest single pair below
+spec = photon_spectrum(params, cut_soft, bin_width=2 * params.omega0)
 print("virtual photon spectrum (omega_m = 10 omega0): binned pair weight")
 scale = spec.weights.max()
 for lo, hi, w in zip(spec.bin_edges[:-1], spec.bin_edges[1:], spec.weights):

@@ -28,7 +28,7 @@ from .continuum import (DEFAULT_BUDGET, asymptotic_correlation,
 from .errors import (CapacityError, ConvergenceError, ParameterError, UsageError)
 from .model import CutoffSpec, PhysicalParams
 from .oracle import TruncationSpec, build_hamiltonian, expectation, ground_state
-from .perturb import dressed_amplitudes, energy_shift, photon_spectrum
+from .perturb import energy_shift, photon_spectrum
 from .single_cavity import (default_grid, delta_energy_density,
                             em_field_fluctuations)
 from .two_cavity import squared_field_correlation_discrete
@@ -311,8 +311,8 @@ def _compute_energy_shift(cfg):
 
 def _compute_spectrum(cfg):
     params = _params_from(cfg)
-    amps = dressed_amplitudes(params, _cutoff_from(cfg), cfg.get("n_max"))
-    spec = photon_spectrum(amps, cfg.get("bin_width"))
+    spec = photon_spectrum(params, _cutoff_from(cfg), cfg.get("n_max"),
+                           cfg.get("bin_width"))
     rows = [[float(lo), float(hi), 0.5 * float(lo + hi), float(w),
              "discrete-sum", ""]
             for lo, hi, w in zip(spec.bin_edges[:-1], spec.bin_edges[1:],
@@ -339,7 +339,7 @@ def _compute_profile(cfg):
             for x, xm, v in zip(prof.grid_cavity, prof.grid_from_movable_wall,
                                 prof.values)]
     return (["x", "x_from_movable_wall", "value", "method", "achieved_rel_tol"],
-            rows, {"n_modes": prof.n_modes})
+            rows, {"n_modes": prof.n_modes, "kernel_nodes": prof.kernel_nodes})
 
 
 def _compute_correlation(cfg):
@@ -362,7 +362,7 @@ def _compute_correlation(cfg):
                          float(grid.xt2_grid[j]), float(grid.values[i, j]),
                          "discrete-sum", ""])
     return (["x1", "x2", "xt1", "xt2", "value", "method", "achieved_rel_tol"],
-            rows, {"n_modes": grid.n_modes})
+            rows, {"n_modes": grid.n_modes, "kernel_nodes": grid.kernel_nodes})
 
 
 def _compute_continuum(cfg):

@@ -35,11 +35,13 @@ import numpy as np
 
 from .errors import CapacityError, DegenerateModeSetError, ParameterError, UsageError
 
-# Limit on the number of field modes a mode table may hold.  Only the O(N)
-# energy shift can reach it: the profiles hold N x N float64 arrays and
-# the photon spectrum a dozen arrays over the N (N + 1) / 2 pairs, so both
-# run out of memory far below it (energy-density ran at N = 11728 and
-# failed at N = 36842 under a 3 GB address-space cap).
+# Limit on the number of field modes a mode table may hold.  The energy
+# shift and the photon spectrum work on O(N) index-sum tables, and the
+# profiles and the correlation contract their kernels as exponential sums
+# in mode blocks (see `kernels`), so every discrete engine's memory is
+# O(N) per grid point and reaches this limit in hundreds of MiB.  Only
+# `dressed_amplitudes`, which holds every one of the N (N + 1) / 2 pairs,
+# runs out of memory far below it.
 MAX_MODES = 200_000
 
 # Auto-sized exponential-cutoff mode sets keep every per-mode damping

@@ -228,7 +228,8 @@ def ground_state(model: OracleModel, solver_tol: float = 1e-12) -> OracleResult:
     one cavity, 4 for two).  Each sector block gets its lowest eigenpair,
     dense when the full dimension is at most DENSE_SOLVE_LIMIT and by
     Lanczos above it; the result is the lowest of the sector minima (the
-    lower sector key on ties), embedded in the full basis with zeros in
+    lower sector key on ties, minima within 1e-12 max|H| counting as
+    tied), embedded in the full basis with zeros in
     the other sectors.  The residual is taken on the full H, so it also
     certifies that no element couples two sectors.
     """
@@ -236,6 +237,9 @@ def ground_state(model: OracleModel, solver_tol: float = 1e-12) -> OracleResult:
 
     H = model.h
     dim = model.dim
+    # sector minima this close are one degenerate level: roundoff must not
+    # pick between them, so the lower sector key keeps it
+    tie = 1e-12 * abs(H).max()
     best = None
     for idx in _parity_sectors(model):
         block = H[idx][:, idx]
@@ -249,7 +253,7 @@ def ground_state(model: OracleModel, solver_tol: float = 1e-12) -> OracleResult:
                 est = float(exc.eigenvalues[0]) if len(exc.eigenvalues) else None
                 raise ConvergenceError(f"eigensolver did not converge: {exc}",
                                        best_estimate=est) from exc
-        if best is None or evals[0] < best[0]:
+        if best is None or evals[0] < best[0] - tie:
             best = (float(evals[0]), idx, evecs[:, 0])
     e0, idx, sub = best
     vec = np.zeros(dim)

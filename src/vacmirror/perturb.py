@@ -29,7 +29,11 @@ O(N) sum
               / (omega0 + W_s),   W_s = s omega1,
 
 with the cutoff weight g of a pair and the index-product sum
-M_s = sum_{k+j=s} k j over 1 <= k, j <= N, which has a closed form.
+M_s = sum_{k+j=s} k j over 1 <= k, j <= N, which has a closed form.  The
+virtual photon spectrum groups the same way: the pairs of index sum s
+share the pair frequency W_s, so `photon_spectrum` bins O(N) index-sum
+weights.  `dressed_amplitudes` keeps the N (N + 1) / 2 individual pairs
+for per-pair access.
 """
 
 from __future__ import annotations
@@ -142,6 +146,8 @@ def dressed_amplitudes(params: PhysicalParams, cutoff: CutoffSpec,
     """First-order amplitudes of the dressed ground state, pair by pair.
 
     n_max is the explicit mode count; a sharp per-mode cutoff caps it.
+    Holds arrays over all N (N + 1) / 2 pairs: for per-pair access only
+    (photon_spectrum and energy_shift work on index sums in O(N)).
     """
     modes, _, g, _, h = mode_tables(params, cutoff, n_max)
     rows, cols = np.triu_indices(len(modes))
@@ -171,28 +177,35 @@ def energy_shift_from_amplitudes(amps: DressedAmplitudes) -> float:
                          * amps.coeffs * hbar * den))
 
 
-def photon_spectrum(amps: DressedAmplitudes, bin_width: float | None = None) -> PhotonSpectrum:
+def photon_spectrum(params: PhysicalParams, cutoff: CutoffSpec,
+                    n_max: int | None = None,
+                    bin_width: float | None = None) -> PhotonSpectrum:
     """Histogram |amplitude|^2 of virtual pairs versus w_k + w_j.
 
+    The pairs of index sum s share the frequency W_s and together weigh
+    2 hbar/(8 m omega0 L^2) omega1^2 M_s (h_s g_s)^2 on normalized states,
+    with M_s the index-product sum of the energy shift; so the histogram
+    costs O(N) and builds no per-pair array.  n_max as in energy_shift.
     bin_width defaults to omega0/20.  The sum of all bin weights equals
-    lambda_sq of the generating amplitudes; the peak location is reported
-    as a diagnostic.
+    lambda_sq of the dressed amplitudes; the peak location is reported as
+    a diagnostic.
     """
     if bin_width is None:
-        bin_width = amps.params.omega0 / 20.0
+        bin_width = params.omega0 / 20.0
     if bin_width <= 0:
         raise UsageError(f"bin_width must be positive, got {bin_width}")
-    s = amps.pair_frequencies
-    span = float(s.max() - s.min())
+    modes, _, g, W, h = mode_tables(params, cutoff, n_max)
+    span = float(W[-1] - W[0])
     if span > 0 and bin_width > span:
         raise UsageError(
             f"bin_width {bin_width:g} exceeds the spectral range {span:g}")
-    w = amps.normalized_state_amplitudes**2
+    pre = 2.0 * params.hbar * params.omega1**2 / (
+        8.0 * params.mass * params.omega0 * params.length**2)
+    w = pre * _pair_index_products(len(modes)) * (h * g)**2
     n_bins = max(1, int(np.ceil((span + 1e-12 * max(span, 1.0)) / bin_width)) if span > 0 else 1)
-    edges = s.min() + bin_width * np.arange(n_bins + 1)
-    idx = np.minimum(((s - s.min()) / bin_width).astype(np.int64), n_bins - 1)
-    weights = np.zeros(n_bins)
-    np.add.at(weights, idx, w)
+    edges = W[0] + bin_width * np.arange(n_bins + 1)
+    idx = np.minimum(((W - W[0]) / bin_width).astype(np.int64), n_bins - 1)
+    weights = np.bincount(idx, weights=w, minlength=n_bins)
     centers = 0.5 * (edges[:-1] + edges[1:])
     peak = float(centers[int(np.argmax(weights))])
     return PhotonSpectrum(bin_edges=edges, weights=weights,

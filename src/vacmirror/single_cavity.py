@@ -33,8 +33,15 @@ approaches the exact ground state's value as lambda -> 0.
 T = cos for the gradient-type factors and T = sin for the kinetic-type
 and phi factors.  The k and l sums factorize for each j, and the extra
 sum of the complete form factorizes into Hankel products over index sums
-(1/(omega0 + w_j + w_k) depends on j + k, 1/(w_k + w_l) on k + l), so a
-profile costs O(N^2) per grid point instead of O(N^3):
+(1/(omega0 + w_j + w_k) depends on j + k, 1/(w_k + w_l) on k + l).  Both
+kernels go through their exponential sums (see `kernels`),
+
+    1/(omega0 + w_j + w_k) = sum_r a_r e^{-e_r omega0} e^{-e_r w_j} e^{-e_r w_k},
+
+with r ~ 200 terms, so a profile costs O(N r) per grid point instead of
+O(N^3), contracted in blocks of modes with no table larger than O(N) or
+one block.  The energy density's complete form also convolves over index
+sums, which is O(N^2) work in O(N) memory.  The profiles are:
 
 - change of the field energy density (numerator w_j w_k w_l, prefactor
   hbar^2/(2 L^3 m omega0), cos[(w_k - w_l) x / c] expanded as
@@ -61,9 +68,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import UsageError
+from .kernels import blocks, exp_sum
 from .model import CutoffSpec, PhysicalParams, mode_tables
 
 __all__ = [
@@ -90,6 +97,7 @@ class ObservableProfile:
     origin: str = "fixed"      # coordinate origin of `grid`
     n_modes: int = 0
     state: str = "first_order"  # which form of the profile, see STATES
+    kernel_nodes: int = 0      # terms of the exponential sum for 1/(omega0 + W)
 
     @property
     def grid_cavity(self) -> np.ndarray:
@@ -131,24 +139,31 @@ def _cavity_grid(params, grid, origin):
 
 def _profile_sum(params, cutoff, n_max, xc, trigs, freq_numerator, sigma,
                  state):
-    """Mode count and the profile's mode sum on the grid xc.
+    """Mode count, kernel node count and the profile's mode sum on the grid xc.
 
     trigs holds one trig per field factor.  With T_k(x) = c_k trig(k_k x),
     c_k = s_k n_k g_k and the numerator n_k = w_k if freq_numerator else 1,
     the first-order form is sum_j o_j F_j(x)^2 with o_j = w_j g_j and the
-    per-j inner sums F_j = sum_k h[j+k] T_k.
+    per-j inner sums F_j = sum_k T_k / (omega0 + w_j + w_k).
 
     The second-order form adds 2 sigma sum_k R_k T_k U_k with
-    R_k = sum_j h[j+k] o_j and U_k = sum_l T_l / W[k+l] (sigma as in the
-    module docstring).  sigma is None for the energy density: its gradient
-    (sigma = +1, cos) and kinetic (sigma = -1, sin) factors combine into
-    cos k_k x cos k_l x - sin k_k x sin k_l x = cos((k_k + k_l) x), so its
-    extra term depends on the index sum s = k + l only and is the O(N)
-    sum 2 sum_s Q_s cos(W[s] x / c) / W[s], Q_s = sum_{k+l=s} R_k c_k c_l.
+    R_k = sum_j o_j / (omega0 + w_j + w_k) and U_k = sum_l T_l / (w_k + w_l)
+    (sigma as in the module docstring).  sigma is None for the energy
+    density: its gradient (sigma = +1, cos) and kinetic (sigma = -1, sin)
+    factors combine into cos k_k x cos k_l x - sin k_k x sin k_l x =
+    cos((k_k + k_l) x), so its extra term depends on the index sum s = k + l
+    only: 2 sum_s Q_s cos(W[s] x / c) / W[s], Q_s = sum_{k+l=s} R_k c_k c_l.
+    Q is a direct convolution, O(N^2) work in O(N) memory: splitting the
+    cosine into the two trig products loses a digit to their cancellation.
+
+    Both kernels go through their exponential sums (see `kernels`): a first
+    pass over mode blocks projects T and o onto the nodes, a second expands
+    the projections back block by block and reduces them on the spot, so
+    no table is larger than O(N) or one block.
     """
     if state not in STATES:
         raise UsageError(f"state must be one of {STATES}, got {state!r}")
-    modes, damp, _, W, h = mode_tables(params, cutoff, n_max)
+    modes, damp, _, W, _ = mode_tables(params, cutoff, n_max)
     if damp is None:
         raise UsageError(
             "sharp cutoff with the 'total' rule does not factorize; "
@@ -158,19 +173,42 @@ def _profile_sum(params, cutoff, n_max, xc, trigs, freq_numerator, sigma,
     signs = np.where(modes.indices % 2 == 0, 1.0, -1.0)
     coef = signs * w * damp if freq_numerator else signs * damp
     outer = w * damp
-    denom = sliding_window_view(h, n)   # D[j, k] = h[j + k], a Hankel view
-    vals = outer @ sum(
-        ((denom * coef[None, :]) @ trig(np.outer(modes.wavenumbers, xc)))**2
-        for trig in trigs)
-    if state == "first_order":
-        return n, vals
-    R = denom @ outer
-    if sigma is None:
-        Q = np.convolve(R * coef, coef)          # position s - 2, like W
-        return n, vals + 2.0 * (Q / W) @ np.cos(np.outer(W / params.c, xc))
-    T = coef[:, None] * trigs[0](np.outer(modes.wavenumbers, xc))
-    pair = sliding_window_view(1.0 / W, n)      # 1/(w_k + w_l), also Hankel
-    return n, vals + 2.0 * sigma * (R @ (T * (pair @ T)))
+    pair = state == "second_order" and sigma is not None
+
+    def trig_table(b):      # T_k(x) of every factor, side by side
+        kx = np.outer(modes.wavenumbers[b], xc)
+        return coef[b, None] * np.hstack([trig(kx) for trig in trigs])
+
+    # 1/(omega0 + w_j + w_k) and 1/(w_k + w_l) on the index sums they take
+    w1 = params.omega1
+    e, a = exp_sum(params.omega0 + 2.0 * w1, params.omega0 + 2.0 * n * w1)
+    a = a * np.exp(-e * params.omega0)
+    ep, ap = exp_sum(2.0 * w1, 2.0 * n * w1)
+    width = len(e) + len(ep) + 3 * len(trigs) * xc.size
+    G = Gp = P = 0.0
+    for b in blocks(n, width):
+        E = np.exp(-np.outer(w[b], e))
+        T = trig_table(b)
+        G = G + E.T @ T
+        P = P + outer[b] @ E
+        if pair:
+            Gp = Gp + np.exp(-np.outer(ep, w[b])) @ T
+    G = a[:, None] * G
+    vals = 0.0
+    R = np.empty(n)
+    for b in blocks(n, width):
+        E = np.exp(-np.outer(w[b], e))
+        vals = vals + outer[b] @ (E @ G)**2
+        R[b] = E @ (a * P)
+        if pair:
+            U = np.exp(-np.outer(w[b], ep)) @ (ap[:, None] * Gp)
+            vals = vals + 2.0 * sigma * (R[b] @ (trig_table(b) * U))
+    vals = np.reshape(vals, (len(trigs), -1)).sum(axis=0)
+    if state == "second_order" and sigma is None:
+        Q = np.convolve(R * coef, coef) / W     # position s - 2, like W
+        for b in blocks(W.size, xc.size):
+            vals = vals + 2.0 * Q[b] @ np.cos(np.outer(W[b] / params.c, xc))
+    return n, len(e), vals
 
 
 def delta_energy_density(params: PhysicalParams, cutoff: CutoffSpec, grid,
@@ -196,11 +234,11 @@ def delta_energy_density(params: PhysicalParams, cutoff: CutoffSpec, grid,
         module docstring).
     """
     x, xc = _cavity_grid(params, grid, origin)
-    n, vals = _profile_sum(params, cutoff, n_max, xc, (np.cos, np.sin), True,
-                           None, state)
+    n, r, vals = _profile_sum(params, cutoff, n_max, xc,
+                              (np.cos, np.sin), True, None, state)
     pre = params.hbar**2 / (2.0 * params.length**3 * params.mass * params.omega0)
     return ObservableProfile("delta_energy_density", x, pre * vals, params,
-                             cutoff, origin, n, state)
+                             cutoff, origin, n, state, r)
 
 
 def em_field_fluctuations(params: PhysicalParams, cutoff: CutoffSpec, grid,
@@ -217,12 +255,12 @@ def em_field_fluctuations(params: PhysicalParams, cutoff: CutoffSpec, grid,
         raise UsageError(f"component must be 'E' or 'B', got {component!r}")
     x, xc = _cavity_grid(params, grid, origin)
     trig, sigma = (np.sin, -1.0) if component == "E" else (np.cos, 1.0)
-    n, vals = _profile_sum(params, cutoff, n_max, xc, (trig,), True, sigma,
-                           state)
+    n, r, vals = _profile_sum(params, cutoff, n_max, xc, (trig,), True, sigma,
+                              state)
     pre = params.hbar**2 / (params.mass * params.omega0 * params.length**3)
     kind = "e_squared" if component == "E" else "b_squared"
     return ObservableProfile(kind, x, pre * vals, params, cutoff, origin, n,
-                             state)
+                             state, r)
 
 
 def delta_phi_squared(params: PhysicalParams, cutoff: CutoffSpec, grid,
@@ -233,9 +271,9 @@ def delta_phi_squared(params: PhysicalParams, cutoff: CutoffSpec, grid,
     n_max and state as in delta_energy_density.
     """
     x, xc = _cavity_grid(params, grid, origin)
-    n, vals = _profile_sum(params, cutoff, n_max, xc, (np.sin,), False, 1.0,
-                           state)
+    n, r, vals = _profile_sum(params, cutoff, n_max, xc, (np.sin,), False, 1.0,
+                              state)
     pre = (params.hbar**2 * params.c**2
            / (params.length**3 * params.mass * params.omega0))
     return ObservableProfile("delta_phi_squared", x, pre * vals, params,
-                             cutoff, origin, n, state)
+                             cutoff, origin, n, state, r)

@@ -16,6 +16,7 @@ from vacmirror import (CavityTag, ObservableProfile, PhysicalParams, UsageError,
                        coupling_matrix_element)
 from vacmirror.continuum import _axis_rule
 from vacmirror.model import mode_tables
+from vacmirror.single_cavity import STATES
 from vacmirror.two_cavity import _check_grid, _sine_tables
 
 
@@ -179,6 +180,119 @@ def brute_correlation(params, n, x1, x2, omega_m=None):
     pre = (params.hbar**3 * params.c**4
            / (params.length**4 * params.mass * params.omega0))
     return -pre * tot
+
+
+DIRECT_KERNEL_BLOCK = 512
+
+
+def direct_pair_sums(v):
+    """R[i, t] = sum_{p+q=t+2} v_p v_q via one convolution per grid point."""
+    npts = v.shape[1]
+    n = v.shape[0]
+    R = np.empty((npts, 2 * n - 1))
+    for i in range(npts):
+        R[i] = np.convolve(v[:, i], v[:, i])
+    return R
+
+
+def direct_cross_term(R1, D1, R2, W):
+    """sum_{t,u} R1[:,t] R2[:,u] (D1_t + D1_u) / (W_t + W_u), blockwise."""
+    S1 = R1 * D1[None, :]
+    S2 = R2 * D1[None, :]
+    out = np.zeros((R1.shape[0], R2.shape[0]))
+    T = W.size
+    for lo in range(0, T, DIRECT_KERNEL_BLOCK):
+        hi = min(lo + DIRECT_KERNEL_BLOCK, T)
+        K = 1.0 / (W[lo:hi, None] + W[None, :])        # (block, T)
+        out += S1[:, lo:hi] @ (K @ R2.T)
+        out += R1[:, lo:hi] @ (K @ S2.T)
+    return out
+
+
+def _correlation_tables(params, cutoff, x1, x2, n_max):
+    L = params.length
+    modes, damp, _, W, h = mode_tables(params, cutoff, n_max)
+    v1 = _sine_tables(modes, damp, L - np.asarray(x1, dtype=float))
+    v2 = _sine_tables(modes, damp, np.asarray(x2, dtype=float) - L)
+    pre = (params.hbar**3 * params.c**4
+           / (L**4 * params.mass * params.omega0))
+    return v1, v2, W, h, pre
+
+
+def direct_correlation(params, cutoff, x1, x2, n_max=None):
+    """The correlation values by per-point convolutions and the blocked
+    Cauchy kernel 1/(W_t + W_u), all in float64."""
+    v1, v2, W, h, pre = _correlation_tables(params, cutoff, x1, x2, n_max)
+    R1 = direct_pair_sums(v1)
+    R2 = direct_pair_sums(v2)
+    return -pre * (np.outer(R1 @ h, R2 @ h) + direct_cross_term(R1, h, R2, W))
+
+
+def longdouble_correlation(params, cutoff, x1, x2, n_max=None, block=256):
+    """The direct formula of `direct_correlation` summed in np.longdouble.
+
+    The float64 mode tables (damped sines, W, h) are its exact inputs;
+    every pair sum, kernel entry 1/(W_t + W_u) and contraction is carried
+    out in extended precision, the kernel in row blocks.
+    """
+    v1, v2, W, h, pre = _correlation_tables(params, cutoff, x1, x2, n_max)
+    ld = np.longdouble
+    R1 = np.array([np.convolve(c, c) for c in v1.T.astype(ld)])
+    R2 = np.array([np.convolve(c, c) for c in v2.T.astype(ld)])
+    W, h = W.astype(ld), h.astype(ld)
+    total = np.outer(R1 @ h, R2 @ h)
+    for lo in range(0, W.size, block):
+        K = 1 / (W[lo:lo + block, None] + W[None, :])
+        H = h[lo:lo + block, None] + h[None, :]
+        total += R1[:, lo:lo + block] @ (K * H) @ R2.T
+    return -ld(pre) * total
+
+
+def direct_profile_sum(params, cutoff, n_max, xc, trigs, freq_numerator,
+                       sigma, state):
+    """Mode count and the profile's mode sum on the grid xc, by Hankel views.
+
+    The direct O(N^2) form of `single_cavity._profile_sum`: the N x N
+    denominator table as a view of h, multiplied out in float64.
+
+    trigs holds one trig per field factor.  With T_k(x) = c_k trig(k_k x),
+    c_k = s_k n_k g_k and the numerator n_k = w_k if freq_numerator else 1,
+    the first-order form is sum_j o_j F_j(x)^2 with o_j = w_j g_j and the
+    per-j inner sums F_j = sum_k h[j+k] T_k.
+
+    The second-order form adds 2 sigma sum_k R_k T_k U_k with
+    R_k = sum_j h[j+k] o_j and U_k = sum_l T_l / W[k+l] (sigma as in the
+    module docstring).  sigma is None for the energy density: its gradient
+    (sigma = +1, cos) and kinetic (sigma = -1, sin) factors combine into
+    cos k_k x cos k_l x - sin k_k x sin k_l x = cos((k_k + k_l) x), so its
+    extra term depends on the index sum s = k + l only and is the O(N)
+    sum 2 sum_s Q_s cos(W[s] x / c) / W[s], Q_s = sum_{k+l=s} R_k c_k c_l.
+    """
+    if state not in STATES:
+        raise UsageError(f"state must be one of {STATES}, got {state!r}")
+    modes, damp, _, W, h = mode_tables(params, cutoff, n_max)
+    if damp is None:
+        raise UsageError(
+            "sharp cutoff with the 'total' rule does not factorize; "
+            "the profiles support sharp_rule='per_mode' only")
+    n = len(modes)
+    w = modes.frequencies
+    signs = np.where(modes.indices % 2 == 0, 1.0, -1.0)
+    coef = signs * w * damp if freq_numerator else signs * damp
+    outer = w * damp
+    denom = sliding_window_view(h, n)   # D[j, k] = h[j + k], a Hankel view
+    vals = outer @ sum(
+        ((denom * coef[None, :]) @ trig(np.outer(modes.wavenumbers, xc)))**2
+        for trig in trigs)
+    if state == "first_order":
+        return n, vals
+    R = denom @ outer
+    if sigma is None:
+        Q = np.convolve(R * coef, coef)          # position s - 2, like W
+        return n, vals + 2.0 * (Q / W) @ np.cos(np.outer(W / params.c, xc))
+    T = coef[:, None] * trigs[0](np.outer(modes.wavenumbers, xc))
+    pair = sliding_window_view(1.0 / W, n)      # 1/(w_k + w_l), also Hankel
+    return n, vals + 2.0 * sigma * (R @ (T * (pair @ T)))
 
 
 def direct_full_level(params, omega_m, xt1, xt2, k_max, k_struct, scale,

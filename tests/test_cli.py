@@ -153,6 +153,34 @@ def test_spectrum_cli(tmp_path):
     assert meta["diag_peak_frequency"] > 0
 
 
+def test_kernel_nodes_in_sidecar(tmp_path):
+    # the node count of the exponential sum each engine contracted with
+    # goes to the sidecar only: a rerun still rebuilds the CSV byte for byte
+    for argv in (["energy-density"], ["em-fluct", "--component", "B"],
+                 ["correlation"]):
+        out = tmp_path / f"{argv[0]}.csv"
+        assert main(argv + ["--m", "20", "--cutoff", "exp:30", "-o", str(out)]) == 0
+        meta = json.loads(open(sidecar_path(str(out))).read())
+        assert 150 <= meta["diag_kernel_nodes"] <= 250
+        again = tmp_path / f"{argv[0]}-rerun.csv"
+        assert main(["rerun", "--sidecar", sidecar_path(str(out)),
+                     "-o", str(again)]) == 0
+        assert again.read_bytes() == out.read_bytes()
+
+
+def test_large_mode_count_runs(tmp_path):
+    # exp:1000 omega0 is N = 36842 modes, where N x N tables or the
+    # N (N + 1) / 2 pair arrays of the spectrum would take gigabytes
+    base = ["--m", "15.9154943091895349", "--omega0", "3.14159265358979312",
+            "--cutoff", "exp:3141.59265358979312"]
+    for argv in (["energy-density"], ["correlation"],
+                 ["spectrum", "--bin-width", "31.4159265358979312"]):
+        out = tmp_path / f"{argv[0]}.csv"
+        assert main(argv + base + ["-o", str(out)]) == 0
+        meta = json.loads(open(sidecar_path(str(out))).read())
+        if argv[0] != "spectrum":
+            assert meta["diag_n_modes"] == 36842
+
 def test_oracle_validate_cli(tmp_path):
     out = tmp_path / "orc.csv"
     rc = main(["oracle-validate", "--cavities", "2", "--lambdas",

@@ -1,0 +1,49 @@
+import tracemalloc
+
+import numpy as np
+import pytest
+
+from vacmirror import (CutoffSpec, default_grid, delta_energy_density,
+                       em_field_fluctuations, photon_spectrum,
+                       squared_field_correlation_discrete)
+from vacmirror.kernels import exp_sum
+
+from conftest import params_for_lambda
+
+W0 = W1 = np.pi          # omega0 = pi on the unit cavity, omega1 = pi c / L
+
+
+@pytest.mark.parametrize("lo, hi", [
+    (W0 + 2 * W1, W0 + 2 * 3 * W1),          # 1/(omega0 + W), N = 3
+    (W0 + 2 * W1, W0 + 2 * 738 * W1),        # N = 738
+    (W0 + 2 * W1, W0 + 2 * 36842 * W1),      # N = 36842
+    (4 * W1, 4 * 36842 * W1)])               # 1/(W_t + W_u), N = 36842
+def test_exp_sum_fits_inverse(lo, hi):
+    e, w = exp_sum(lo, hi)
+    assert len(e) <= 250
+    x = np.geomspace(lo, hi, 20_001)
+    fit = np.exp(-np.outer(x, e)) @ w
+    assert np.max(np.abs(fit * x - 1.0)) <= 1e-15
+
+
+def test_engines_at_large_mode_count_stay_small():
+    # exp:1000 omega0 is N = 36842 modes: the N x N tables of the direct
+    # sums alone would take 10 GiB and the pair arrays of the spectrum 5 GiB
+    p = params_for_lambda(0.05, omega0=np.pi)
+    cut = CutoffSpec.exponential(1000 * np.pi)
+    grid = default_grid(p)
+    x1 = np.linspace(0.05, 0.95, 10)
+    calls = [(lambda: delta_energy_density(p, cut, grid), "values"),
+             (lambda: em_field_fluctuations(p, cut, grid, "E"), "values"),
+             (lambda: squared_field_correlation_discrete(p, cut, x1, 1.0 + x1),
+              "values"),
+             (lambda: photon_spectrum(p, cut), "weights")]
+    for call, field in calls:
+        tracemalloc.start()
+        try:
+            out = call()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 64 * 2**20
+        assert np.all(np.isfinite(getattr(out, field)))

@@ -155,6 +155,31 @@ def test_lanczos_branch_matches_dense(params_weak, monkeypatch):
     assert lanczos.residual_norm <= 1e-9
 
 
+def test_ground_state_keeps_lower_key_on_degenerate_sectors(monkeypatch):
+    # odd sectors 1 and 2 (one odd cavity, left or right) tie lowest; a
+    # 1e-14 relative nudge of sector 2's minimum, well inside roundoff of a
+    # different eigensolver build, must not move the state to the right cavity
+    import scipy.linalg
+
+    model = build_hamiltonian(params_for_lambda(0.2), TruncationSpec(1, 7, 7), "two")
+    sectors = oracle._parity_sectors(model)
+    real_eigh = scipy.linalg.eigh
+    calls = []
+
+    def nudged_eigh(a, *args, **kwargs):
+        evals, evecs = real_eigh(a, *args, **kwargs)
+        calls.append(a.shape[0])
+        if len(calls) == 3:                 # sector 2, in key order
+            evals = evals - 1e-14 * abs(evals)
+        return evals, evecs
+
+    monkeypatch.setattr(scipy.linalg, "eigh", nudged_eigh)
+    res = ground_state(model)
+    assert calls == [idx.size for idx in sectors]
+    outside = np.setdiff1d(np.arange(model.dim), sectors[1])
+    assert np.abs(res.vector[sectors[1]]).max() > 0.1
+    assert np.abs(res.vector[outside]).max() == 0.0
+
 def test_ground_state_memory_bound():
     # one dense solve of the full dim-3125 basis peaks at 150 MiB; the
     # largest sector block (dim 845) needs about 12 MiB

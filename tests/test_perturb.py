@@ -121,15 +121,16 @@ def test_lambda_sq_positive_finite(params_weak):
 
 def test_spectrum_partition(params_weak):
     amps = dressed_amplitudes(params_weak, CutoffSpec.exponential(30.0))
-    spec = photon_spectrum(amps, bin_width=params_weak.omega0 / 20)
+    spec = photon_spectrum(params_weak, CutoffSpec.exponential(30.0),
+                           bin_width=params_weak.omega0 / 20)
     assert abs(spec.total_weight - amps.lambda_sq) <= 1e-12 * amps.lambda_sq
 
 
 def test_spectrum_coarsening(params_weak):
-    amps = dressed_amplitudes(params_weak, CutoffSpec.exponential(30.0))
+    cut = CutoffSpec.exponential(30.0)
     w = params_weak.omega0 / 10
-    fine = photon_spectrum(amps, bin_width=w)
-    coarse = photon_spectrum(amps, bin_width=2 * w)
+    fine = photon_spectrum(params_weak, cut, bin_width=w)
+    coarse = photon_spectrum(params_weak, cut, bin_width=2 * w)
     assert np.count_nonzero(coarse.weights) <= np.count_nonzero(fine.weights)
 
 
@@ -137,7 +138,8 @@ def test_spectrum_matches_enumeration(params_weak):
     # three-mode set: group |amplitude|^2 by total pair frequency by hand
     amps = dressed_amplitudes(params_weak, CutoffSpec.sharp_n_modes(params_weak, 3))
     width = 0.9 * params_weak.omega1
-    spec = photon_spectrum(amps, bin_width=width)
+    spec = photon_spectrum(params_weak, CutoffSpec.sharp_n_modes(params_weak, 3),
+                           bin_width=width)
     s = amps.pair_frequencies
     w2 = amps.normalized_state_amplitudes**2
     smin = s.min()
@@ -152,14 +154,13 @@ def test_spectrum_bin_width_validation(params_weak):
     amps = dressed_amplitudes(params_weak, CutoffSpec.sharp_n_modes(params_weak, 3))
     span = amps.pair_frequencies.max() - amps.pair_frequencies.min()
     with pytest.raises(UsageError):
-        photon_spectrum(amps, bin_width=1.5 * span)
+        photon_spectrum(params_weak, amps.cutoff, bin_width=1.5 * span)
     with pytest.raises(UsageError):
-        photon_spectrum(amps, bin_width=0.0)
+        photon_spectrum(params_weak, amps.cutoff, bin_width=0.0)
 
 
 def test_spectrum_peak_reported():
     p = params_for_lambda(0.05, omega0=np.pi)
-    amps = dressed_amplitudes(p, CutoffSpec.exponential(20 * p.omega0))
-    spec = photon_spectrum(amps)
+    spec = photon_spectrum(p, CutoffSpec.exponential(20 * p.omega0))
     assert np.isfinite(spec.peak_frequency)
     assert spec.bin_edges[0] <= spec.peak_frequency <= spec.bin_edges[-1]

@@ -8,7 +8,7 @@ from vacmirror import (CutoffSpec, PhysicalParams, TruncationSpec, UsageError,
 
 from conftest import (brute_delta_energy_density, brute_delta_phi_squared,
                       brute_em_fluct, brute_second_order_term,
-                      params_for_lambda)
+                      direct_profile_sum, params_for_lambda)
 
 GRID = np.array([0.17, 0.42, 0.77])
 
@@ -215,3 +215,30 @@ def test_second_order_mass_scaling_exact(params_weak):
     a = delta_energy_density(params_weak, cut, grid, state="second_order").values
     b = delta_energy_density(heavy, cut, grid, state="second_order").values
     assert np.max(np.abs(2 * b - a) / np.abs(a)) < 1e-14
+
+
+@pytest.mark.parametrize("state", ["first_order", "second_order"])
+def test_profiles_match_direct_hankel_sums(state):
+    # the exponential-sum contraction against the direct float64 Hankel
+    # products at N = 1990.  Errors are taken relative to the profile's
+    # largest magnitude on the grid: E vanishes on the walls and the
+    # complete profiles cross zero, where a pointwise ratio measures only
+    # the roundoff of the direct sum
+    p = params_for_lambda(0.05, omega0=np.pi)
+    cut = CutoffSpec.exponential(54 * np.pi)
+    grid = default_grid(p, 40)
+    pre = p.hbar**2 / (p.mass * p.omega0 * p.length**3)
+    cases = [(delta_energy_density(p, cut, grid, state=state), pre / 2,
+              (np.cos, np.sin), True, None),
+             (em_field_fluctuations(p, cut, grid, "E", state=state), pre,
+              (np.sin,), True, -1.0),
+             (em_field_fluctuations(p, cut, grid, "B", state=state), pre,
+              (np.cos,), True, 1.0),
+             (delta_phi_squared(p, cut, grid, state=state), pre * p.c**2,
+              (np.sin,), False, 1.0)]
+    for prof, scale, trigs, freq_numerator, sigma in cases:
+        n, vals = direct_profile_sum(p, cut, None, grid, trigs, freq_numerator,
+                                     sigma, state)
+        assert prof.n_modes == n == 1990
+        ref = scale * vals
+        assert np.max(np.abs(prof.values - ref)) <= 1e-13 * np.max(np.abs(ref))

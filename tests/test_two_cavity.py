@@ -7,7 +7,8 @@ from vacmirror import (CutoffSpec, UsageError, delta_phi_squared,
                        phi_phi_cross_correlation,
                        squared_field_correlation_discrete)
 
-from conftest import (brute_correlation, params_for_lambda,
+from conftest import (brute_correlation, direct_correlation,
+                      longdouble_correlation, params_for_lambda,
                       single_cavity_reduction_check)
 
 
@@ -126,3 +127,21 @@ def test_sharp_exp_cutoff_consistency():
         gaps.append(abs(cs - ce) / abs(ce))
     assert gaps[0] > gaps[1] > gaps[2]
     assert gaps[2] < 0.05
+
+
+def test_correlation_against_extended_precision():
+    # N = 590 on the CLI's default 10 x 10 grid, where the sum's condition
+    # number sum |terms| / |value| is about 6e6: the exponential-sum path
+    # must be within 2e-12 of the longdouble evaluation of the direct
+    # formula, and no further from it than the direct float64 path
+    p = params_for_lambda(0.05, omega0=np.pi)
+    cut = CutoffSpec.exponential(16 * np.pi)
+    x1 = np.linspace(0.05, 0.95, 10)
+    x2 = 1.0 + x1
+    fast = squared_field_correlation_discrete(p, cut, x1, x2)
+    assert fast.n_modes == 590
+    ref = longdouble_correlation(p, cut, x1, x2)
+    err_fast = float(np.max(np.abs((fast.values - ref) / ref)))
+    err_direct = float(np.max(np.abs((direct_correlation(p, cut, x1, x2) - ref) / ref)))
+    assert err_fast <= 2e-12
+    assert err_fast <= err_direct
