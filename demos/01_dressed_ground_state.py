@@ -15,8 +15,7 @@ maximum near the mirror frequency.
 import numpy as np
 
 from vacmirror import (CutoffSpec, PhysicalParams, dressed_amplitudes,
-                       energy_shift, energy_shift_from_amplitudes,
-                       photon_spectrum)
+                       energy_shift, photon_spectrum)
 
 # natural units; omega0 equal to the fundamental mode, weak coupling
 params = PhysicalParams(mass=15.915, omega0=np.pi, length=1.0)
@@ -34,7 +33,9 @@ print("vacuum-energy growth, cured here by the mirror transparency scale\n")
 cut = CutoffSpec.exponential(30 * params.omega0)
 amps = dressed_amplitudes(params, cut)
 de_direct = energy_shift(params, cut)
-de_rebuilt = energy_shift_from_amplitudes(amps)
+# exact for any cutoff: dE = -sum 2 mult c_raw c hbar (omega0 + w_k + w_j)
+de_rebuilt = float(-np.sum(2.0 * amps.multiplicities * amps.coeffs_raw * amps.coeffs
+                           * params.hbar * (params.omega0 + amps.pair_frequencies)))
 print("consistency identity between the shift and the pair amplitudes:")
 print(f"  direct double sum      {de_direct:+.12e}")
 print(f"  rebuilt from amplitudes {de_rebuilt:+.12e}")

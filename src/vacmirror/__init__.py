@@ -20,14 +20,18 @@ exact-diagonalization oracle:
 
 Natural units hbar = c = 1 by default; SI values can be supplied via
 `PhysicalParams`.
+
+Importing the package loads numpy only: the continuum quadrature and the
+oracle import scipy inside the functions that use it, so the discrete
+commands start without it.
 """
 
 from .errors import (CapacityError, ConvergenceError, DegenerateModeSetError,
                      ParameterError, UsageError)
 from .model import (CavityTag, CutoffSpec, ModeSet, PhysicalParams,
-                    coupling_matrix_element, cutoff_weight)
+                    coupling_matrix_element)
 from .perturb import (DressedAmplitudes, PhotonSpectrum, dressed_amplitudes,
-                      energy_shift, energy_shift_from_amplitudes, photon_spectrum)
+                      energy_shift, photon_spectrum)
 from .single_cavity import (ObservableProfile, default_grid, delta_energy_density,
                             delta_phi_squared, em_field_fluctuations)
 from .two_cavity import (CorrelationGrid, phi_phi_cross_correlation,
@@ -43,9 +47,9 @@ __version__ = "0.1.0"
 
 __all__ = [
     "PhysicalParams", "CutoffSpec", "ModeSet", "CavityTag",
-    "coupling_matrix_element", "cutoff_weight",
+    "coupling_matrix_element",
     "DressedAmplitudes", "PhotonSpectrum", "energy_shift",
-    "energy_shift_from_amplitudes", "dressed_amplitudes", "photon_spectrum",
+    "dressed_amplitudes", "photon_spectrum",
     "ObservableProfile", "default_grid", "delta_energy_density",
     "em_field_fluctuations", "delta_phi_squared",
     "CorrelationGrid", "squared_field_correlation_discrete",

@@ -18,6 +18,7 @@ import json
 import os
 import sys
 import time
+import warnings
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
@@ -39,12 +40,6 @@ SI_C = 2.99792458e8
 # configuration keys that may be swept and coerced to float
 SWEEPABLE = {"mass", "omega0", "length", "cutoff_omega_m", "xt1", "xt2",
              "bin_width", "rel_tol"}
-
-
-def _fmt(v) -> str:
-    if isinstance(v, float):
-        return format(v, ".17e")
-    return str(v)
 
 
 def _parse_cutoff(text: str) -> tuple[str, float]:
@@ -462,6 +457,23 @@ def compute_rows(cfg):
     return header, rows, diag
 
 
+def _compute_recording_warnings(cfg):
+    """compute_rows, with each distinct warning message added to the
+    diagnostics as 'warnings'; the warnings are still shown as usual."""
+    fired = set()
+    with warnings.catch_warnings():
+        show = warnings.showwarning
+
+        def record(message, *args, **kwargs):
+            fired.add(str(message))
+            show(message, *args, **kwargs)
+
+        warnings.showwarning = record
+        header, rows, diag = compute_rows(cfg)
+    diag["warnings"] = sorted(fired)
+    return header, rows, diag
+
+
 # ---------------------------------------------------------------------------
 # output
 # ---------------------------------------------------------------------------
@@ -478,8 +490,15 @@ def write_outputs(cfg, header, rows, diagnostics, wall_time: float):
     for key in sorted(k for k in cfg if k not in ("threads", "output")):
         lines.append(f"# {key} = {cfg[key]}")
     lines.append(",".join(header))
+    # one %-template per row shape: floats as %.17e, anything else as str
+    templates = {}
     for row in rows:
-        lines.append(",".join(_fmt(v) for v in row))
+        kinds = tuple(map(type, row))
+        template = templates.get(kinds)
+        if template is None:
+            template = templates[kinds] = ",".join(
+                "%.17e" if issubclass(t, float) else "%s" for t in kinds)
+        lines.append(template % tuple(row))
     text = "\n".join(lines) + "\n"
     with open(cfg["output"], "w", newline="") as fh:
         fh.write(text)
@@ -520,7 +539,7 @@ def main(argv=None) -> int:
         if cfg.get("si"):
             params = _params_from(cfg)
             print(f"# lambda = {params.coupling_lambda:.6e}")
-        header, rows, diag = compute_rows(cfg)
+        header, rows, diag = _compute_recording_warnings(cfg)
         write_outputs(cfg, header, rows, diag, time.perf_counter() - t0)
         return 0
     except (ParameterError, UsageError) as exc:

@@ -92,7 +92,6 @@ from dataclasses import dataclass
 
 import numpy as np
 from numpy.polynomial.legendre import leggauss
-from scipy.integrate import quad
 
 from .errors import ConvergenceError, UsageError
 from .model import PhysicalParams
@@ -204,6 +203,7 @@ class _EvalCounter:
 
 def _a_integral(params, omega_m, xt, offset, epsrel, counter):
     """int_0^inf dt e^(-w0 t) S(xt, offset + c/omega_m + c t)^2."""
+    from scipy.integrate import quad
     w0, c = params.omega0, params.c
     base = offset + c / omega_m
 
@@ -217,6 +217,7 @@ def _a_integral(params, omega_m, xt, offset, epsrel, counter):
 
 def _b_integral(params, omega_m, xt_a, xt_b, epsrel, counter):
     """T2-type cross integral; xt_a carries the t+u offset, xt_b the u offset."""
+    from scipy.integrate import quad
     c = params.c
     off0 = c / omega_m
 

@@ -237,20 +237,6 @@ def _factorizes(spec: CutoffSpec) -> bool:
     return spec.kind == "exp" or spec.sharp_rule == "per_mode"
 
 
-def cutoff_weight(spec: CutoffSpec, freqs) -> float:
-    """Regularization weight in [0, 1] for one summand.
-
-    freqs lists the frequencies of every field mode participating in the
-    summand (a mode occurring once per summation index).
-    """
-    f = np.asarray(freqs, dtype=float)
-    if f.size == 0:
-        raise UsageError("cutoff_weight needs at least one frequency")
-    if np.any(f < 0):
-        raise UsageError("frequencies must be non-negative")
-    return float(_cutoff_factor(spec, f.sum(), f.max()))
-
-
 def per_mode_weights(spec: CutoffSpec, frequencies: np.ndarray) -> np.ndarray:
     """Per-mode damping factors whose products build factorized summand weights.
 

@@ -54,8 +54,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.sparse as sp
-import scipy.sparse.linalg as spla
 
 from .errors import CapacityError, ConvergenceError, ParameterError, UsageError
 from .model import CavityTag, PhysicalParams, coupling_matrix_element
@@ -116,6 +114,7 @@ class OracleModel:
 
     @property
     def h(self) -> sp.csr_matrix:
+        import scipy.sparse as sp
         return (sp.diags(self.h0_diag) + self.v).tocsr()
 
     @property
@@ -135,6 +134,7 @@ class OracleResult:
 
 
 def _ladder(n: int) -> sp.csr_matrix:
+    import scipy.sparse as sp
     return sp.diags(np.sqrt(np.arange(1, n)), 1).tocsr()
 
 
@@ -144,6 +144,7 @@ def _ladder_sum(dims, coeffs, op) -> sp.csr_matrix:
     a_i is the ladder of photon mode i; modes with a zero coefficient
     are skipped.
     """
+    import scipy.sparse as sp
     size = math.prod(dims)
     out = sp.csr_matrix((size, size))
     for i, c in enumerate(coeffs):
@@ -169,6 +170,7 @@ def build_hamiltonian(params: PhysicalParams, truncation: TruncationSpec,
         Multiplies every C_kj; 0 gives the bare (diagonal) Hamiltonian,
         the infinite-mass limit.
     """
+    import scipy.sparse as sp
     if cavities not in ("one", "two"):
         raise UsageError(f"cavities must be 'one' or 'two', got {cavities!r}")
     m = truncation.modes_per_cavity
@@ -234,6 +236,7 @@ def ground_state(model: OracleModel, solver_tol: float = 1e-12) -> OracleResult:
     certifies that no element couples two sectors.
     """
     from scipy.linalg import eigh
+    from scipy.sparse.linalg import ArpackNoConvergence, eigsh
 
     H = model.h
     dim = model.dim
@@ -247,9 +250,9 @@ def ground_state(model: OracleModel, solver_tol: float = 1e-12) -> OracleResult:
             evals, evecs = eigh(block.toarray(), subset_by_index=[0, 0])
         else:
             try:
-                evals, evecs = spla.eigsh(block, k=1, which="SA", tol=solver_tol,
-                                          maxiter=10_000)
-            except spla.ArpackNoConvergence as exc:
+                evals, evecs = eigsh(block, k=1, which="SA", tol=solver_tol,
+                                     maxiter=10_000)
+            except ArpackNoConvergence as exc:
                 est = float(exc.eigenvalues[0]) if len(exc.eigenvalues) else None
                 raise ConvergenceError(f"eigensolver did not converge: {exc}",
                                        best_estimate=est) from exc
@@ -273,6 +276,7 @@ def _field_operator(model: OracleModel, cavity: CavityTag, x: float,
     the Hermitian part D of the time derivative, phi_dot = -i D; the i is
     applied when squaring.
     """
+    import scipy.sparse as sp
     p = model.params
     L = p.length
     lo, hi = cavity.span(p)
@@ -314,6 +318,7 @@ def _exp_renormalized(vec, vac, op) -> float:
     The vacuum component of vec then contributes no large diagonal term,
     so a value far below <0|O|0> keeps its digits.
     """
+    import scipy.sparse as sp
     shifted = op - _exp(vac, op) * sp.identity(op.shape[0], format="csr")
     return _exp(vec, shifted)
 

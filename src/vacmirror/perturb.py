@@ -49,7 +49,6 @@ __all__ = [
     "DressedAmplitudes",
     "PhotonSpectrum",
     "energy_shift",
-    "energy_shift_from_amplitudes",
     "dressed_amplitudes",
     "photon_spectrum",
 ]
@@ -163,18 +162,6 @@ def dressed_amplitudes(params: PhysicalParams, cutoff: CutoffSpec,
         params=params, cutoff=cutoff, pairs=np.column_stack([kk, jj]),
         coeffs=raw * wgt, coeffs_raw=raw, weights=wgt,
         multiplicities=np.where(kk == jj, 1.0, 2.0))
-
-
-def energy_shift_from_amplitudes(amps: DressedAmplitudes) -> float:
-    """Reconstruct the energy shift from the stored amplitudes.
-
-    Exact identity for any cutoff:
-    delta_E = -sum 2*mult*c_raw*c*hbar*(omega0 + w_k + w_j).
-    """
-    hbar = amps.params.hbar
-    den = amps.params.omega0 + amps.pair_frequencies
-    return float(-np.sum(2.0 * amps.multiplicities * amps.coeffs_raw
-                         * amps.coeffs * hbar * den))
 
 
 def photon_spectrum(params: PhysicalParams, cutoff: CutoffSpec,

@@ -15,7 +15,7 @@ from numpy.lib.stride_tricks import sliding_window_view
 from vacmirror import (CavityTag, ObservableProfile, PhysicalParams, UsageError,
                        coupling_matrix_element)
 from vacmirror.continuum import _axis_rule
-from vacmirror.model import mode_tables
+from vacmirror.model import _cutoff_factor, mode_tables
 from vacmirror.single_cavity import STATES
 from vacmirror.two_cavity import _check_grid, _sine_tables
 
@@ -325,6 +325,44 @@ def direct_full_level(params, omega_m, xt1, xt2, k_max, k_struct, scale,
         cross += float((P1[lo:hi] * D1[lo:hi]) @ (Kb @ P2))
         cross += float(P1[lo:hi] @ (Kb @ P2D2))
     return t1 + cross, cost
+
+
+def cutoff_weight(spec, freqs) -> float:
+    """Regularization weight in [0, 1] for one summand.
+
+    freqs lists the frequencies of every field mode participating in the
+    summand (a mode occurring once per summation index).
+    """
+    f = np.asarray(freqs, dtype=float)
+    if f.size == 0:
+        raise UsageError("cutoff_weight needs at least one frequency")
+    if np.any(f < 0):
+        raise UsageError("frequencies must be non-negative")
+    return float(_cutoff_factor(spec, f.sum(), f.max()))
+
+
+def energy_shift_from_amplitudes(amps) -> float:
+    """Reconstruct the energy shift from the stored amplitudes.
+
+    Exact identity for any cutoff:
+    delta_E = -sum 2*mult*c_raw*c*hbar*(omega0 + w_k + w_j).
+    """
+    hbar = amps.params.hbar
+    den = amps.params.omega0 + amps.pair_frequencies
+    return float(-np.sum(2.0 * amps.multiplicities * amps.coeffs_raw
+                         * amps.coeffs * hbar * den))
+
+
+def _fmt(v) -> str:
+    if isinstance(v, float):
+        return format(v, ".17e")
+    return str(v)
+
+
+def reference_csv_line(row) -> str:
+    """One CLI CSV data line built value by value (floats as .17e, the rest
+    as str): the reference for the writer's per-row templates."""
+    return ",".join(_fmt(v) for v in row)
 
 
 def params_for_lambda(lam, omega0=1.0, length=1.0, hbar=1.0, c=1.0):

@@ -1,10 +1,19 @@
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from vacmirror.cli import main, sidecar_path
+from vacmirror.cli import (build_config, build_parser, compute_rows, main,
+                           sidecar_path, write_outputs)
+
+from conftest import reference_csv_line
+
+SRC = str(Path(__file__).resolve().parents[1] / "src")
 
 
 def read_csv(path):
@@ -223,3 +232,92 @@ def test_oracle_validate_explicit_zero_position_rejected(tmp_path):
                "--max-photons", "2", "--max-mirror", "2", "--x1", "0",
                "-o", str(tmp_path / "orc.csv")])
     assert rc == 2
+
+
+def _cold_python(code, cwd):
+    """Run code in a fresh interpreter that imports vacmirror from src/;
+    it prints the sorted scipy modules it ended with."""
+    tail = ("\nimport json, sys\n"
+            "print(json.dumps(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')))")
+    proc = subprocess.run([sys.executable, "-c", code + tail], cwd=cwd,
+                          env=dict(os.environ, PYTHONPATH=SRC),
+                          capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    return json.loads(proc.stdout.strip().splitlines()[-1])
+
+
+def test_cold_start_loads_no_scipy(tmp_path):
+    # the discrete commands and the closed-form scaling laws need numpy only
+    runs = ["['energy-shift', '-o', 'de.csv']",
+            "['spectrum', '-o', 'sp.csv']",
+            "['energy-density', '--grid', '0.1:0.9:5', '-o', 'ed.csv']",
+            "['em-fluct', '--component', 'E', '--grid', '0.1:0.9:5', '-o', 'em.csv']",
+            "['correlation', '--x1-grid', '0.2:0.8:3', '--x2-grid', '1.2:1.8:3', '-o', 'co.csv']",
+            "['scaling', '--quantity', 'asymptotic', '--axis', 'mass', '--points', '1,2,4', '-o', 'sa.csv']",
+            "['scaling', '--quantity', 'far_field', '--axis', 'distance', '--points', '20,40,80', '-o', 'sf.csv']"]
+    for code in ("import vacmirror",
+                 "from vacmirror import cli; cli.build_parser()",
+                 "from vacmirror import cli\n" + "".join(
+                     f"assert cli.main({r}) == 0\n" for r in runs)):
+        assert _cold_python(code, tmp_path) == [], code
+
+
+def test_cold_start_scipy_commands_run(tmp_path):
+    # the continuum quadrature and the oracle load scipy on first use
+    loaded = _cold_python(
+        "from vacmirror import cli\n"
+        "assert cli.main(['continuum', '--omega-m', '12', '--xt1', '0.1', '--xt2', '0.08',"
+        " '--method', 'partial_analytic', '-o', 'c.csv']) == 0", tmp_path)
+    assert "scipy.integrate" in loaded
+    loaded = _cold_python(
+        "from vacmirror import cli\n"
+        "assert cli.main(['oracle-validate', '--cavities', '2', '-o', 'o.csv']) == 0",
+        tmp_path)
+    assert "scipy.sparse" in loaded
+
+
+def test_warnings_in_sidecar(tmp_path):
+    # the few-mode sharp reference of oracle-validate sits below 5 omega0;
+    # its warning still reaches the caller and is listed once in the sidecar
+    out = tmp_path / "orc.csv"
+    with pytest.warns(UserWarning, match="cutoff omega_m = 4.71239 is below"):
+        assert main(["oracle-validate", "--cavities", "2", "--lambdas",
+                     "0.05,0.025", "--max-photons", "3", "--max-mirror", "3",
+                     "-o", str(out)]) == 0
+    meta = json.loads(open(sidecar_path(str(out))).read())
+    assert len(meta["diag_warnings"]) == 1
+    assert meta["diag_warnings"][0].startswith(
+        "cutoff omega_m = 4.71239 is below 5 * omega0 = 5;")
+    again = tmp_path / "orc-rerun.csv"
+    assert main(["rerun", "--sidecar", sidecar_path(str(out)),
+                 "-o", str(again)]) == 0
+    assert again.read_bytes() == out.read_bytes()
+
+    out = tmp_path / "de.csv"
+    assert main(["energy-shift", "--cutoff", "exp:50", "-o", str(out)]) == 0
+    meta = json.loads(open(sidecar_path(str(out))).read())
+    assert meta["diag_warnings"] == []
+
+
+@pytest.mark.parametrize("argv", [
+    ["spectrum", "--m", "2", "--cutoff", "exp:40"],
+    ["continuum", "--omega-m", "1", "--xt1", "0.5", "--xt2", "0.5"],
+    ["oracle-validate", "--lambdas", "0.05,0.025"],
+])
+def test_csv_lines_match_reference_formatter(tmp_path, argv):
+    out = tmp_path / "x.csv"
+    cfg = build_config(build_parser().parse_args(argv + ["-o", str(out)]))
+    header, rows, diag = compute_rows(cfg)
+    write_outputs(cfg, header, rows, diag, 0.0)
+    data = out.read_bytes().split(b"\n")[-len(rows) - 1:]
+    assert data == [reference_csv_line(r).encode() for r in rows] + [b""]
+
+
+def test_csv_lines_match_reference_formatter_on_mixed_types(tmp_path):
+    out = tmp_path / "x.csv"
+    rows = [[0.1, -0.0, np.float64(1 / 3), math.inf, math.nan, 7, "s", ""],
+            [np.float32(0.25), np.int64(3), True, None, 1e-300, "a,b", "%s", 2.0],
+            [0.1, -0.0, np.float64(2.5), -math.inf, 0.0, 8, "t", "u"]]
+    write_outputs({"command": "test", "output": str(out)}, ["c"] * 8, rows, {}, 0.0)
+    data = out.read_bytes().split(b"\n")[-len(rows) - 1:]
+    assert data == [reference_csv_line(r).encode() for r in rows] + [b""]

@@ -6,10 +6,10 @@ import pytest
 from vacmirror import (CapacityError, CavityTag, CutoffSpec,
                        DegenerateModeSetError, ModeSet, ParameterError,
                        PhysicalParams, UsageError, coupling_matrix_element,
-                       cutoff_weight, delta_energy_density, energy_shift,
+                       delta_energy_density, energy_shift,
                        squared_field_correlation_discrete)
 
-from conftest import two_cavity_coupling
+from conftest import cutoff_weight, two_cavity_coupling
 
 
 def test_coupling_symmetry(params_unit):

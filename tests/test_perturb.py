@@ -3,9 +3,10 @@ import pytest
 
 from vacmirror import (CutoffSpec, DegenerateModeSetError, PhysicalParams,
                        UsageError, dressed_amplitudes, energy_shift,
-                       energy_shift_from_amplitudes, photon_spectrum)
+                       photon_spectrum)
 
-from conftest import blocked_energy_shift, brute_energy_shift, params_for_lambda
+from conftest import (blocked_energy_shift, brute_energy_shift,
+                      energy_shift_from_amplitudes, params_for_lambda)
 
 # frozen by an independent 30-digit evaluation of the closed double sum
 DE_M10_N2 = -0.20130304425925797
