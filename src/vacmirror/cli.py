@@ -448,12 +448,11 @@ def compute_rows(cfg):
     with ThreadPoolExecutor(max_workers=cfg["threads"]) as ex:
         results = list(ex.map(one, values))
     header = [name] + results[0][0]
-    rows = []
-    diag = {}
-    for v, (_, sub_rows, sub_diag) in zip(values, results):
-        for r in sub_rows:
-            rows.append([float(v)] + r)
-        diag.update(sub_diag)
+    rows = [[float(v)] + r
+            for v, (_, sub_rows, _) in zip(values, results) for r in sub_rows]
+    # each diagnostic becomes the list of its per-point values, in sweep order
+    diag = {k: [sub_diag[k] for _, _, sub_diag in results]
+            for k in results[0][2]}
     return header, rows, diag
 
 

@@ -33,12 +33,14 @@ Two independent evaluation paths are provided and cross-validated:
   the tail negligible, with half-wavelength panels and global panel
   doubling until two refinement levels agree.  Within a cavity the
   summand is symmetric in its two wavenumbers, so each cavity's pairs
-  are folded to p <= q (doubled weight off the diagonal), about 4x fewer
-  kernel entries; the kernel 1/(c (K1 + K2)) is built and contracted in
-  row blocks of a fixed ~1 MiB buffer, so memory stays bounded.  Cost
-  still grows with (omega_m xt / c)^4, so this path is for moderate
-  cutoff-distance products; the evaluation budget caps it and counts
-  the nominal tensor summands n1^2 n2^2.
+  are folded to p <= q (doubled weight off the diagonal).  The kernel
+  1/(K1 + K2) goes through the exponential sum of `kernels` (r ~ 200
+  terms on the range K1 + K2 takes, within 1e-15 relative): each
+  cavity's folded pairs are projected onto the nodes by
+  `kernels.project`, so a level with n nodes per axis costs O(n^2 r)
+  and memory stays bounded.  The evaluation budget caps this path and
+  counts the nominal tensor summands n1^2 n2^2, which grow with
+  (omega_m xt / c)^4 and overstate the work by about n^2 / r.
 
 Every structure in the integrand is a positive quadratic form, so
 C < 0 for all distances and cutoffs.  The mass enters the prefactor only:
@@ -94,6 +96,7 @@ import numpy as np
 from numpy.polynomial.legendre import leggauss
 
 from .errors import ConvergenceError, UsageError
+from .kernels import exp_sum, project
 from .model import PhysicalParams
 
 __all__ = [
@@ -257,11 +260,6 @@ def _partial_analytic(params, omega_m, xt1, xt2, rel_tol, budget):
 # full-quadrature path
 # ---------------------------------------------------------------------------
 
-# one block of the Cauchy kernel; blocks that stay in cache ran 2x faster
-# than 32 MiB blocks at omega_m = 15, xt = 0.15
-_KERNEL_BLOCK_BYTES = 1 << 20
-
-
 def _axis_edges(xt, k_max, k_struct, scale):
     """Graded panel edges on (0, k_max) for a sin(k xt) * smooth axis.
 
@@ -316,22 +314,12 @@ def _full_level(params, omega_m, xt1, xt2, k_max, k_struct, scale, budget, spent
     D1 = 1.0 / (w0 + c * K1)
     D2 = 1.0 / (w0 + c * K2)
     t1 = float(np.dot(P1, D1) * np.dot(P2, D2))
-    # 1/(K1 + K2) row block by row block in one reused buffer; one product
-    # against [P2, P2 D2] serves both cross structures, and the common
-    # factor 1/c is applied once at the end
-    P1D1 = P1 * D1
-    cols = np.column_stack((P2, P2 * D2))
-    rows = max(1, _KERNEL_BLOCK_BYTES // (8 * K2.size))
-    buf = np.empty((min(rows, K1.size), K2.size))
-    cross = 0.0
-    for lo in range(0, K1.size, rows):
-        hi = min(lo + rows, K1.size)
-        kb = buf[:hi - lo]
-        np.add(K1[lo:hi, None], K2, out=kb)
-        np.reciprocal(kb, out=kb)
-        s = kb @ cols
-        cross += float(P1D1[lo:hi] @ s[:, 0] + P1[lo:hi] @ s[:, 1])
-    return t1 + cross / c, cost
+    # both cross structures share 1/(K1 + K2) = sum_r a_r e^{-e_r K1}
+    # e^{-e_r K2}; the common factor 1/c is applied once at the end
+    e, a = exp_sum(K1.min() + K2.min(), K1.max() + K2.max())
+    F1 = project(np.vstack((P1 * D1, P1)), K1, e)
+    F2 = project(np.vstack((P2, P2 * D2)), K2, e)
+    return t1 + float(np.sum(F1 * F2 @ a)) / c, cost
 
 
 def _full_quadrature(params, omega_m, xt1, xt2, rel_tol, budget):

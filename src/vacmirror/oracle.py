@@ -249,9 +249,12 @@ def ground_state(model: OracleModel, solver_tol: float = 1e-12) -> OracleResult:
         if dim <= DENSE_SOLVE_LIMIT:
             evals, evecs = eigh(block.toarray(), subset_by_index=[0, 0])
         else:
+            # a fixed random start: ARPACK's own changes from call to call,
+            # and a structured one can be orthogonal to the ground state
+            v0 = np.random.default_rng(0).standard_normal(block.shape[0])
             try:
                 evals, evecs = eigsh(block, k=1, which="SA", tol=solver_tol,
-                                     maxiter=10_000)
+                                     maxiter=10_000, v0=v0)
             except ArpackNoConvergence as exc:
                 est = float(exc.eigenvalues[0]) if len(exc.eigenvalues) else None
                 raise ConvergenceError(f"eigensolver did not converge: {exc}",

@@ -29,8 +29,9 @@ sums t = p + q and u = r + s only, so the pair sums
 product and the cross structures to a bilinear form with the Cauchy-type
 kernel 1/(W_t + W_u).  R comes from zero-padded FFTs, O(N log N) per
 point.  The kernel goes through its exponential sum (see `kernels`),
-1/(W_t + W_u) = sum_r a_r e^{-e_r W_t} e^{-e_r W_u} with r ~ 200 terms,
-so the cross structures cost O(N r) per point and the kernel is never
+1/(W_t + W_u) = sum_r a_r e^{-e_r W_t} e^{-e_r W_u} with r ~ 200 terms:
+one `kernels.project` of R_t and R_t / (w0 + W_t) onto the nodes gives both
+cross structures, so they cost O(N r) per point and the kernel is never
 formed: no table is larger than the O(N) pair sums per point or one block.
 The kernel itself is not FFT-contracted: that loses about 1e-10 to
 roundoff, while the exponential sum stays within about 1e-12 of an
@@ -47,7 +48,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import UsageError
-from .kernels import blocks, exp_sum
+from .kernels import blocks, exp_sum, project
 from .model import CutoffSpec, PhysicalParams, mode_tables
 
 __all__ = [
@@ -109,22 +110,6 @@ def _pair_sums(v):
     return R
 
 
-def _cross_term(R, h, W, x1, e, a):
-    """sum_{t,u} R1[:, t] R2[:, u] (h_t + h_u) / (W_t + W_u), R1 = R[:x1],
-    R2 = R[x1:].
-
-    With 1/(W_t + W_u) = sum_r a_r e^{-e_r W_t} e^{-e_r W_u} this is
-    ((R1 h) F a)(R2 F)^T + ((R1 F) a)((R2 h) F)^T, F[t, r] = e^{-e_r W_t},
-    accumulated over blocks of t.
-    """
-    B = H = 0.0
-    for b in blocks(W.size, len(e) + 2 * R.shape[0]):
-        F = np.exp(-np.outer(W[b], e))
-        B = B + R[:, b] @ F
-        H = H + (R[:, b] * h[b]) @ F
-    return (H[:x1] * a) @ B[x1:].T + (B[:x1] * a) @ H[x1:].T
-
-
 def squared_field_correlation_discrete(params: PhysicalParams, cutoff: CutoffSpec,
                                        x1_grid, x2_grid,
                                        n_max: int | None = None,
@@ -158,10 +143,18 @@ def squared_field_correlation_discrete(params: PhysicalParams, cutoff: CutoffSpe
     R = _pair_sums(np.hstack([_sine_tables(modes, damp, xt1),
                               _sine_tables(modes, damp, xt2)]))
     q = R @ h
-    # 1/(W_t + W_u) on the totals 4 omega1 .. 4 N omega1 it takes
+    # 1/(W_t + W_u) on the totals 4 omega1 .. 4 N omega1 it takes; one
+    # projection of the rows R, then R h, gives both cross structures
+    # ((R1 h) F a)(R2 F)^T + ((R1 F) a)((R2 h) F)^T, F[t, r] = e^{-e_r W_t}
     e, a = exp_sum(2.0 * W[0], 2.0 * W[-1])
+    npts = R.shape[0]
+    R = np.vstack([R, R])
+    R[npts:] *= h
+    B = project(R, W, e)
+    B, H = B[:npts], B[npts:]
     total = (np.outer(q[:x1.size], q[x1.size:])
-             + _cross_term(R, h, W, x1.size, e, a))
+             + (H[:x1.size] * a) @ B[x1.size:].T
+             + (B[:x1.size] * a) @ H[x1.size:].T)
     pre = (params.hbar**3 * params.c**4
            / (L**4 * params.mass * params.omega0))
     values = -pre * total

@@ -130,6 +130,18 @@ def test_sweep_near_wall_monotone_in_cutoff(tmp_path):
     assert vals[0] < vals[1] < vals[2]
 
 
+def test_sweep_diagnostics_per_point(tmp_path):
+    # each point of a sweep keeps its own diagnostics, in sweep order;
+    # the warnings stay one list for the whole run
+    out = tmp_path / "sweep.csv"
+    assert main(["energy-density", "--m", "15", "--grid", "0.5:0.5:1",
+                 "--sweep", "cutoff-omega-m=10,100,1000", "-o", str(out)]) == 0
+    meta = json.loads(open(sidecar_path(str(out))).read())
+    assert meta["diag_n_modes"] == [118, 1174, 11728]
+    assert len(meta["diag_kernel_nodes"]) == 3
+    assert meta["diag_warnings"] == []
+
+
 def test_scaling_cli_mass_slope(tmp_path):
     out = tmp_path / "scal.csv"
     rc = main(["scaling", "--quantity", "asymptotic", "--axis", "mass",

@@ -17,7 +17,8 @@ W0 = W1 = np.pi          # omega0 = pi on the unit cavity, omega1 = pi c / L
     (W0 + 2 * W1, W0 + 2 * 3 * W1),          # 1/(omega0 + W), N = 3
     (W0 + 2 * W1, W0 + 2 * 738 * W1),        # N = 738
     (W0 + 2 * W1, W0 + 2 * 36842 * W1),      # N = 36842
-    (4 * W1, 4 * 36842 * W1)])               # 1/(W_t + W_u), N = 36842
+    (4 * W1, 4 * 36842 * W1),                # 1/(W_t + W_u), N = 36842
+    (0.0118, 1207.0)])                       # 1/(K1 + K2), continuum, 1.5^6
 def test_exp_sum_fits_inverse(lo, hi):
     e, w = exp_sum(lo, hi)
     assert len(e) <= 250

@@ -155,6 +155,17 @@ def test_lanczos_branch_matches_dense(params_weak, monkeypatch):
     assert lanczos.residual_norm <= 1e-9
 
 
+def test_lanczos_branch_is_deterministic(params_weak, monkeypatch):
+    # two solves in one process give the same bits: the Lanczos start
+    # vector does not depend on how often the solver ran before
+    model = build_hamiltonian(params_weak, TruncationSpec(2, 6, 6), "one")
+    monkeypatch.setattr(oracle, "DENSE_SOLVE_LIMIT", 100)
+    first = ground_state(model)
+    again = ground_state(model)
+    assert first.ground_energy == again.ground_energy
+    assert np.array_equal(first.vector, again.vector)
+
+
 def test_ground_state_keeps_lower_key_on_degenerate_sectors(monkeypatch):
     # odd sectors 1 and 2 (one odd cavity, left or right) tie lowest; a
     # 1e-14 relative nudge of sector 2's minimum, well inside roundoff of a
