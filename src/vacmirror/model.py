@@ -41,7 +41,7 @@ from .errors import CapacityError, DegenerateModeSetError, ParameterError, Usage
 # in mode blocks (see `kernels`), so every discrete engine's memory is
 # O(N) per grid point and reaches this limit in hundreds of MiB.  Only
 # `dressed_amplitudes`, which holds every one of the N (N + 1) / 2 pairs,
-# runs out of memory far below it.
+# has a lower limit (`perturb.PAIR_TABLE_LIMIT`).
 MAX_MODES = 200_000
 
 # Auto-sized exponential-cutoff mode sets keep every per-mode damping
@@ -191,23 +191,33 @@ class ModeSet:
         Exponential: N sized so the per-mode tail weight exp(-w_N/omega_m)
         drops below EXP_TAIL_WEIGHT, then doubled once as a guard.
         """
-        if n_max is None:
-            w1 = params.omega1
-            if cutoff.kind == "sharp":
-                n_max = int(math.floor(cutoff.omega_m / w1))
-            else:
-                n_star = int(math.ceil(math.log(1.0 / EXP_TAIL_WEIGHT) * cutoff.omega_m / w1))
-                n_max = 2 * max(n_star, 1)
-        if n_max > MAX_MODES:
-            raise CapacityError(
-                f"mode set of size {n_max} exceeds the limit {MAX_MODES}; "
-                "lower omega_m or pass an explicit n_max")
-        n = np.arange(1, n_max + 1, dtype=np.int64)
+        n = np.arange(1, mode_count(params, cutoff, n_max) + 1, dtype=np.int64)
         k = n * (np.pi / params.length)
         return cls(indices=n, wavenumbers=k, frequencies=params.c * k)
 
     def __len__(self) -> int:
         return int(self.indices.size)
+
+
+def mode_count(params: PhysicalParams, cutoff: CutoffSpec,
+               n_max: int | None = None) -> int:
+    """Size of the mode set `ModeSet.build` makes, without building it.
+
+    n_max when given, else the size the cutoff implies (see ModeSet.build).
+    Raises CapacityError above MAX_MODES.
+    """
+    if n_max is None:
+        w1 = params.omega1
+        if cutoff.kind == "sharp":
+            n_max = int(math.floor(cutoff.omega_m / w1))
+        else:
+            n_star = int(math.ceil(math.log(1.0 / EXP_TAIL_WEIGHT) * cutoff.omega_m / w1))
+            n_max = 2 * max(n_star, 1)
+    if n_max > MAX_MODES:
+        raise CapacityError(
+            f"mode set of size {n_max} exceeds the limit {MAX_MODES}; "
+            "lower omega_m or pass an explicit n_max")
+    return n_max
 
 
 def coupling_matrix_element(params: PhysicalParams, k: int, j: int) -> float:
@@ -283,3 +293,39 @@ def mode_tables(params: PhysicalParams, cutoff: CutoffSpec, n_max: int | None = 
     g = _cutoff_factor(cutoff, W, np.full_like(W, w[-1]))
     damp = per_mode_weights(cutoff, w) if _factorizes(cutoff) else None
     return modes, damp, g, W, h
+
+
+# the last mass-free mode sum, as (key, result); see mass_free_sum
+_last_sum = None
+
+
+def mass_free_sum(params: PhysicalParams, key: tuple, compute):
+    """compute(), or its result from the last call if that call had an equal
+    key and the same parameters apart from the mass.
+
+    Every discrete observable carries the mirror mass only through its
+    exact 1/m prefactor, so the mode sum behind it is mass-free and a mass
+    sweep needs it once.  key names the sum and holds every other input it
+    depends on; omega0, L, hbar and c are added here, and arrays enter by
+    dtype, shape and exact bytes.  compute returns a tuple, whose arrays
+    are made read-only: callers scale them into new arrays.
+
+    One entry, the last result: a sum is reused only when no other sum ran
+    in between, as in a sweep, and no older result stays in memory.  The
+    entry is replaced by one tuple assignment, so threads sharing it see
+    the old entry or the new one, never a mix; a lost replacement costs
+    only a recomputation.
+    """
+    global _last_sum
+    key = (params.omega0, params.length, params.hbar, params.c) + tuple(
+        (part.dtype.str, part.shape, part.tobytes())
+        if isinstance(part, np.ndarray) else part for part in key)
+    last = _last_sum
+    if last is not None and last[0] == key:
+        return last[1]
+    value = compute()
+    for v in value:
+        if isinstance(v, np.ndarray):
+            v.flags.writeable = False
+    _last_sum = (key, value)
+    return value

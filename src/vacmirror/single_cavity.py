@@ -56,6 +56,17 @@ The energy density change equals (<E^2> + <B^2>)/2 identically, in both
 forms; the two sides are computed by separate code paths, which the tests
 exploit.
 
+The mirror mass enters a profile only through its 1/m prefactor, so the
+mode sum behind it is mass-free, and a call that differs from the last
+mode-sum call only in the mass reuses that sum (`model.mass_free_sum`,
+shared with the correlation).  The key is everything else the sum depends
+on: omega0, L, hbar, c, the cutoff (kind, omega_m, rule), n_max, the
+exact bytes of the cavity-coordinate grid, the trig factors, the
+frequency numerator, sigma and the state.  The grid checks, the mode
+tables (with their errors and the low-cutoff warning) and the prefactor
+run on every call; a mass sweep contracts the kernels once, and every
+point is bit-identical to a call on its own.
+
 Positions are cavity coordinates measured from the fixed wall at x = 0
 (the movable wall sits at x = L); origin='movable' lets callers pass
 distances from the movable wall instead.  The profile magnitude grows
@@ -71,7 +82,7 @@ import numpy as np
 
 from .errors import UsageError
 from .kernels import blocks, exp_sum
-from .model import CutoffSpec, PhysicalParams, mode_tables
+from .model import CutoffSpec, PhysicalParams, mass_free_sum, mode_tables
 
 __all__ = [
     "ObservableProfile",
@@ -139,7 +150,25 @@ def _cavity_grid(params, grid, origin):
 
 def _profile_sum(params, cutoff, n_max, xc, trigs, freq_numerator, sigma,
                  state):
-    """Mode count, kernel node count and the profile's mode sum on the grid xc.
+    """Mode count, kernel node count and the profile's mode sum on the grid
+    xc; the sum is reused across masses (see `model.mass_free_sum`)."""
+    if state not in STATES:
+        raise UsageError(f"state must be one of {STATES}, got {state!r}")
+    modes, damp, _, W, _ = mode_tables(params, cutoff, n_max)
+    if damp is None:
+        raise UsageError(
+            "sharp cutoff with the 'total' rule does not factorize; "
+            "the profiles support sharp_rule='per_mode' only")
+    r, vals = mass_free_sum(
+        params, ("profile", cutoff, n_max, xc, trigs, freq_numerator, sigma,
+                 state),
+        lambda: _contract(params, modes, damp, W, xc, trigs, freq_numerator,
+                          sigma, state))
+    return len(modes), r, vals
+
+
+def _contract(params, modes, damp, W, xc, trigs, freq_numerator, sigma, state):
+    """Kernel node count and the profile's mode sum on the grid xc.
 
     trigs holds one trig per field factor.  With T_k(x) = c_k trig(k_k x),
     c_k = s_k n_k g_k and the numerator n_k = w_k if freq_numerator else 1,
@@ -161,13 +190,6 @@ def _profile_sum(params, cutoff, n_max, xc, trigs, freq_numerator, sigma,
     the projections back block by block and reduces them on the spot, so
     no table is larger than O(N) or one block.
     """
-    if state not in STATES:
-        raise UsageError(f"state must be one of {STATES}, got {state!r}")
-    modes, damp, _, W, _ = mode_tables(params, cutoff, n_max)
-    if damp is None:
-        raise UsageError(
-            "sharp cutoff with the 'total' rule does not factorize; "
-            "the profiles support sharp_rule='per_mode' only")
     n = len(modes)
     w = modes.frequencies
     signs = np.where(modes.indices % 2 == 0, 1.0, -1.0)
@@ -208,7 +230,7 @@ def _profile_sum(params, cutoff, n_max, xc, trigs, freq_numerator, sigma,
         Q = np.convolve(R * coef, coef) / W     # position s - 2, like W
         for b in blocks(W.size, xc.size):
             vals = vals + 2.0 * Q[b] @ np.cos(np.outer(W[b] / params.c, xc))
-    return n, len(e), vals
+    return len(e), vals
 
 
 def delta_energy_density(params: PhysicalParams, cutoff: CutoffSpec, grid,

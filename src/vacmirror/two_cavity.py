@@ -38,6 +38,13 @@ roundoff, while the exponential sum stays within about 1e-12 of an
 extended-precision evaluation of the direct formula, closer than the
 direct float64 sum (whose condition number sum |terms| / |value| reaches
 1e9 at N = 7370).
+
+The mass enters C only through the prefactor, so the sum of the three
+structures is mass-free: a call that differs from the last mode-sum call
+only in the mass reuses it (`model.mass_free_sum`, shared with the
+profiles), keyed on omega0, L, hbar, c, the cutoff, n_max and the exact
+bytes of both grids.  The grid checks, the mode tables, the prefactor and
+the negativity check run on every call.
 """
 
 from __future__ import annotations
@@ -49,7 +56,7 @@ import numpy as np
 
 from .errors import UsageError
 from .kernels import blocks, exp_sum, project
-from .model import CutoffSpec, PhysicalParams, mode_tables
+from .model import CutoffSpec, PhysicalParams, mass_free_sum, mode_tables
 
 __all__ = [
     "CorrelationGrid",
@@ -110,6 +117,28 @@ def _pair_sums(v):
     return R
 
 
+def _correlation_sum(modes, damp, W, h, xt1, xt2):
+    """Kernel node count and the mass-free sum of the three structures at
+    every (xt1, xt2) pair of distances from the movable wall."""
+    # pair sums of both cavities, rows x1 then x2: (X1 + X2, 2n - 1)
+    R = _pair_sums(np.hstack([_sine_tables(modes, damp, xt1),
+                              _sine_tables(modes, damp, xt2)]))
+    q = R @ h
+    # 1/(W_t + W_u) on the totals 4 omega1 .. 4 N omega1 it takes; one
+    # projection of the rows R, then R h, gives both cross structures
+    # ((R1 h) F a)(R2 F)^T + ((R1 F) a)((R2 h) F)^T, F[t, r] = e^{-e_r W_t}
+    e, a = exp_sum(2.0 * W[0], 2.0 * W[-1])
+    npts = R.shape[0]
+    R = np.vstack([R, R])
+    R[npts:] *= h
+    B = project(R, W, e)
+    B, H = B[:npts], B[npts:]
+    total = (np.outer(q[:xt1.size], q[xt1.size:])
+             + (H[:xt1.size] * a) @ B[xt1.size:].T
+             + (B[:xt1.size] * a) @ H[xt1.size:].T)
+    return len(e), total
+
+
 def squared_field_correlation_discrete(params: PhysicalParams, cutoff: CutoffSpec,
                                        x1_grid, x2_grid,
                                        n_max: int | None = None,
@@ -135,26 +164,9 @@ def squared_field_correlation_discrete(params: PhysicalParams, cutoff: CutoffSpe
     x1 = _check_grid("x1_grid", x1_grid, 0.0, L)
     x2 = _check_grid("x2_grid", x2_grid, L, 2.0 * L)
     modes, damp, _, W, h = mode_tables(params, cutoff, n_max)
-    n = len(modes)
-    xt1 = L - x1
-    xt2 = x2 - L
-
-    # pair sums of both cavities, rows x1 then x2: (X1 + X2, 2n - 1)
-    R = _pair_sums(np.hstack([_sine_tables(modes, damp, xt1),
-                              _sine_tables(modes, damp, xt2)]))
-    q = R @ h
-    # 1/(W_t + W_u) on the totals 4 omega1 .. 4 N omega1 it takes; one
-    # projection of the rows R, then R h, gives both cross structures
-    # ((R1 h) F a)(R2 F)^T + ((R1 F) a)((R2 h) F)^T, F[t, r] = e^{-e_r W_t}
-    e, a = exp_sum(2.0 * W[0], 2.0 * W[-1])
-    npts = R.shape[0]
-    R = np.vstack([R, R])
-    R[npts:] *= h
-    B = project(R, W, e)
-    B, H = B[:npts], B[npts:]
-    total = (np.outer(q[:x1.size], q[x1.size:])
-             + (H[:x1.size] * a) @ B[x1.size:].T
-             + (B[:x1.size] * a) @ H[x1.size:].T)
+    r, total = mass_free_sum(
+        params, ("correlation", cutoff, n_max, x1, x2),
+        lambda: _correlation_sum(modes, damp, W, h, L - x1, x2 - L))
     pre = (params.hbar**3 * params.c**4
            / (L**4 * params.mass * params.omega0))
     values = -pre * total
@@ -168,8 +180,8 @@ def squared_field_correlation_discrete(params: PhysicalParams, cutoff: CutoffSpe
         if negativity == "raise":
             raise UsageError(msg)
         warnings.warn(msg, stacklevel=2)
-    return CorrelationGrid(x1, x2, values, "discrete_sum", params, cutoff, n,
-                           len(e))
+    return CorrelationGrid(x1, x2, values, "discrete_sum", params, cutoff,
+                           len(modes), r)
 
 
 def phi_phi_cross_correlation(params: PhysicalParams, cutoff: CutoffSpec,

@@ -13,11 +13,18 @@ import scipy.sparse as sp
 from numpy.lib.stride_tricks import sliding_window_view
 
 from vacmirror import (CavityTag, ObservableProfile, PhysicalParams, UsageError,
-                       coupling_matrix_element)
+                       coupling_matrix_element, model)
 from vacmirror.continuum import _axis_rule
 from vacmirror.model import _cutoff_factor, mode_tables
 from vacmirror.single_cavity import STATES
 from vacmirror.two_cavity import _check_grid, _sine_tables
+
+
+@pytest.fixture(autouse=True)
+def cold_mass_free_sum(monkeypatch):
+    """Every test starts with no remembered mode sum (see
+    model.mass_free_sum), so no test depends on the one run before it."""
+    monkeypatch.setattr(model, "_last_sum", None)
 
 
 @pytest.fixture

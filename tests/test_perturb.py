@@ -1,9 +1,11 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
-from vacmirror import (CutoffSpec, DegenerateModeSetError, PhysicalParams,
-                       UsageError, dressed_amplitudes, energy_shift,
-                       photon_spectrum)
+from vacmirror import (CapacityError, CutoffSpec, DegenerateModeSetError,
+                       PhysicalParams, UsageError, dressed_amplitudes,
+                       energy_shift, photon_spectrum)
 
 from conftest import (blocked_energy_shift, brute_energy_shift,
                       energy_shift_from_amplitudes, params_for_lambda)
@@ -165,3 +167,20 @@ def test_spectrum_peak_reported():
     spec = photon_spectrum(p, CutoffSpec.exponential(20 * p.omega0))
     assert np.isfinite(spec.peak_frequency)
     assert spec.bin_edges[0] <= spec.peak_frequency <= spec.bin_edges[-1]
+
+
+def test_pair_table_capacity_checked_before_allocation():
+    # exp:1000 omega0 is N = 36842 modes, 6.8e8 pairs: tens of GiB of
+    # pair arrays; the estimate refuses them before any table exists
+    p = params_for_lambda(0.05, omega0=np.pi)
+    tracemalloc.start()
+    try:
+        with pytest.raises(CapacityError, match="36842 modes"):
+            dressed_amplitudes(p, CutoffSpec.exponential(1000 * np.pi))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
+    # a sharp cutoff caps an explicit n_max before the estimate
+    amps = dressed_amplitudes(p, CutoffSpec.sharp(5.5 * np.pi), n_max=100_000)
+    assert len(amps.pairs) == 15
