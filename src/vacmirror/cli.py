@@ -4,8 +4,10 @@ Each run writes one CSV data file (a '#'-prefixed provenance block with
 the full configuration, a header row, then one record per grid point)
 and a flat JSON sidecar (same configuration keys plus library version,
 wall-clock time and convergence diagnostics).  Identical configurations
-produce byte-identical CSV files at any thread count; `vacmirror rerun`
-rebuilds the CSV from a sidecar alone.
+produce byte-identical CSV files; `vacmirror rerun` rebuilds the CSV from
+a sidecar alone.  A sweep evaluates its points in order in the calling
+thread; `--threads` is accepted for compatibility and recorded in the
+sidecar, but selects nothing.
 
 Exit codes: 0 success, 2 parameter/usage error, 3 convergence failure,
 4 capacity error.
@@ -15,11 +17,11 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 import time
 import warnings
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
@@ -30,8 +32,7 @@ from .errors import (CapacityError, ConvergenceError, ParameterError, UsageError
 from .model import CutoffSpec, PhysicalParams
 from .oracle import TruncationSpec, build_hamiltonian, expectation, ground_state
 from .perturb import energy_shift, photon_spectrum
-from .single_cavity import (default_grid, delta_energy_density,
-                            em_field_fluctuations)
+from .single_cavity import delta_energy_density, em_field_fluctuations
 from .two_cavity import squared_field_correlation_discrete
 
 SI_HBAR = 1.054571817e-34
@@ -59,7 +60,11 @@ def _parse_values(spec: str) -> list[float]:
         parts = spec.split(":")
         if len(parts) not in (3, 4) or (len(parts) == 4 and parts[3] != "log"):
             raise ParameterError(f"range spec must be lo:hi:n[:log], got {spec!r}")
-        lo, hi, n = float(parts[0]), float(parts[1]), int(parts[2])
+        try:
+            lo, hi, n = float(parts[0]), float(parts[1]), int(parts[2])
+        except ValueError:
+            raise ParameterError(
+                f"range spec must be lo:hi:n[:log] with an integer n, got {spec!r}")
         if n < 1:
             raise ParameterError("range spec needs n >= 1")
         if len(parts) == 4:
@@ -99,7 +104,8 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--sweep", default=None, metavar="NAME=SPEC",
                        help="sweep one parameter (e.g. mass=1:16:5:log)")
         p.add_argument("--threads", type=int, default=1,
-                       help="worker threads for sweeps (default 1)")
+                       help="accepted for compatibility and recorded in the "
+                       "sidecar; sweeps run serially (default 1)")
         p.add_argument("-o", "--output", required=True, help="output CSV path")
 
     p = sub.add_parser("energy-shift", help="ground-state energy shift")
@@ -199,15 +205,15 @@ def build_config(args) -> dict:
     params = PhysicalParams(cfg["mass"], cfg["omega0"], cfg["length"],
                             cfg["hbar"], cfg["c"])
 
-    if getattr(args, "cutoff", None) is not None:
+    if args.cutoff is not None:
         kind, omega_m = _parse_cutoff(args.cutoff)
         cfg.update(cutoff_kind=kind, cutoff_omega_m=omega_m,
                    sharp_rule=args.sharp_rule)
         CutoffSpec(kind, omega_m, args.sharp_rule)  # validate now
     else:
         cfg.update(cutoff_kind=None, cutoff_omega_m=None,
-                   sharp_rule=getattr(args, "sharp_rule", "per_mode"))
-    cfg["n_max"] = getattr(args, "n_max", None)
+                   sharp_rule=args.sharp_rule)
+    cfg["n_max"] = args.n_max
 
     cmd = args.command
     if cmd == "spectrum":
@@ -222,7 +228,7 @@ def build_config(args) -> dict:
         if args.method == "asymptotic":
             if args.xt1 is None or args.xt2 is None:
                 raise ParameterError("asymptotic correlation needs --xt1 and --xt2")
-            if args.cutoff is not None and cfg["cutoff_kind"] == "sharp":
+            if cfg["cutoff_kind"] == "sharp":
                 raise ParameterError(
                     "--method asymptotic is incompatible with a sharp cutoff; "
                     "the closed form assumes omega_m -> infinity")
@@ -245,11 +251,13 @@ def build_config(args) -> dict:
         cfg.update(cavities=cavities, modes_per_cavity=modes,
                    max_photons=args.max_photons, max_mirror=args.max_mirror,
                    lambdas=args.lambdas, x1=args.x1, x2=args.x2)
-        _parse_values(args.lambdas)
+        # each coupling sets the mass hbar / (8 lambda^2 omega0 L^2)
+        if not all(0 < lam < math.inf for lam in _parse_values(args.lambdas)):
+            raise ParameterError(
+                f"couplings must be positive and finite, got {args.lambdas!r}")
 
-    sweep = getattr(args, "sweep", None)
-    if sweep:
-        name, _, spec = sweep.partition("=")
+    if args.sweep:
+        name, _, spec = args.sweep.partition("=")
         name = name.replace("-", "_")
         if name not in SWEEPABLE:
             raise ParameterError(
@@ -266,10 +274,9 @@ def build_config(args) -> dict:
     else:
         cfg.update(sweep_param=None, sweep_spec=None)
 
-    threads = getattr(args, "threads", 1)
-    if threads < 1:
+    if args.threads < 1:
         raise ParameterError("threads must be >= 1")
-    cfg["threads"] = threads
+    cfg["threads"] = args.threads
     return cfg
 
 
@@ -279,17 +286,13 @@ def _params_from(cfg) -> PhysicalParams:
 
 
 def _cutoff_from(cfg) -> CutoffSpec:
-    if cfg.get("cutoff_kind") is None:
+    if cfg["cutoff_kind"] is None:
         raise ParameterError("this command requires --cutoff")
     return CutoffSpec(cfg["cutoff_kind"], cfg["cutoff_omega_m"], cfg["sharp_rule"])
 
 
-def _grid_from(cfg, key, fallback=None):
-    spec = cfg.get(key)
-    if spec is None:
-        return fallback
-    vals = _parse_values(spec)
-    return np.asarray(vals, dtype=float)
+def _grid_from(cfg, key):
+    return np.asarray(_parse_values(cfg[key]), dtype=float)
 
 
 # ---------------------------------------------------------------------------
@@ -298,7 +301,7 @@ def _grid_from(cfg, key, fallback=None):
 
 def _compute_energy_shift(cfg):
     params = _params_from(cfg)
-    value = energy_shift(params, _cutoff_from(cfg), cfg.get("n_max"))
+    value = energy_shift(params, _cutoff_from(cfg), cfg["n_max"])
     return (["value", "method", "achieved_rel_tol"],
             [[value, "discrete-sum", ""]],
             {"n_values": 1})
@@ -306,8 +309,8 @@ def _compute_energy_shift(cfg):
 
 def _compute_spectrum(cfg):
     params = _params_from(cfg)
-    spec = photon_spectrum(params, _cutoff_from(cfg), cfg.get("n_max"),
-                           cfg.get("bin_width"))
+    spec = photon_spectrum(params, _cutoff_from(cfg), cfg["n_max"],
+                           cfg["bin_width"])
     rows = [[float(lo), float(hi), 0.5 * float(lo + hi), float(w),
              "discrete-sum", ""]
             for lo, hi, w in zip(spec.bin_edges[:-1], spec.bin_edges[1:],
@@ -321,15 +324,14 @@ def _compute_spectrum(cfg):
 def _compute_profile(cfg):
     params = _params_from(cfg)
     cutoff = _cutoff_from(cfg)
-    grid = _grid_from(cfg, "grid", default_grid(params))
+    grid = _grid_from(cfg, "grid")
     if cfg["command"] == "energy-density":
-        prof = delta_energy_density(params, cutoff, grid, cfg.get("n_max"),
-                                    origin=cfg.get("origin", "fixed"))
+        prof = delta_energy_density(params, cutoff, grid, cfg["n_max"],
+                                    origin=cfg["origin"])
     else:
         prof = em_field_fluctuations(params, cutoff, grid,
                                      component=cfg["component"],
-                                     n_max=cfg.get("n_max"),
-                                     origin=cfg.get("origin", "fixed"))
+                                     n_max=cfg["n_max"], origin=cfg["origin"])
     rows = [[float(x), float(xm), float(v), "discrete-sum", ""]
             for x, xm, v in zip(prof.grid_cavity, prof.grid_from_movable_wall,
                                 prof.values)]
@@ -348,8 +350,7 @@ def _compute_correlation(cfg):
     x1 = _grid_from(cfg, "x1_grid")
     x2 = _grid_from(cfg, "x2_grid")
     grid = squared_field_correlation_discrete(
-        params, cutoff, x1, x2, cfg.get("n_max"),
-        negativity=cfg.get("negativity", "warn"))
+        params, cutoff, x1, x2, cfg["n_max"], negativity=cfg["negativity"])
     rows = []
     for i, a in enumerate(grid.x1_grid):
         for j, b in enumerate(grid.x2_grid):
@@ -373,9 +374,8 @@ def _compute_continuum(cfg):
 def _compute_scaling(cfg):
     params = _params_from(cfg)
     probes = scaling_probe(params, cfg["quantity"], cfg["axis"],
-                           _parse_values(cfg["points"]), xt=cfg.get("xt"),
-                           omega_m=cfg.get("omega_m"),
-                           rel_tol=cfg.get("rel_tol", 1e-6))
+                           _parse_values(cfg["points"]), xt=cfg["xt"],
+                           omega_m=cfg["omega_m"], rel_tol=cfg["rel_tol"])
     rows = [[p.parameter, p.value, p.log_slope, cfg["quantity"], ""]
             for p in probes]
     return (["parameter", "value", "log_slope", "method", "achieved_rel_tol"],
@@ -394,17 +394,16 @@ def _compute_oracle_validate(cfg):
         params = base.with_mass(mass)
         model = build_hamiltonian(params, trunc, cfg["cavities"])
         res = ground_state(model)
+        cut = CutoffSpec.sharp_n_modes(params, cfg["modes_per_cavity"])
         if cfg["cavities"] == "one":
-            cut = CutoffSpec.sharp_n_modes(params, cfg["modes_per_cavity"])
             pert = energy_shift(params, cut)
             rows.append([lam, "energy_shift", pert, res.energy_shift,
                          abs(res.energy_shift - pert) / abs(pert),
                          "oracle", res.residual_norm])
         else:
             L = params.length
-            x1 = 0.63 * L if cfg.get("x1") is None else cfg["x1"]
-            x2 = L + 0.37 * L if cfg.get("x2") is None else cfg["x2"]
-            cut = CutoffSpec.sharp_n_modes(params, cfg["modes_per_cavity"])
+            x1 = 0.63 * L if cfg["x1"] is None else cfg["x1"]
+            x2 = L + 0.37 * L if cfg["x2"] is None else cfg["x2"]
             pert = squared_field_correlation_discrete(
                 params, cut, [x1], [x2], negativity="ignore").values[0, 0]
             orc = expectation(model, res, ("phi2phi2", x1, x2))
@@ -431,22 +430,14 @@ _COMPUTE = {
 
 
 def compute_rows(cfg):
-    """Run one configuration, expanding a sweep if present."""
-    command = cfg["command"]
-    fn = _COMPUTE[command]
-    if not cfg.get("sweep_param"):
-        return fn(cfg)
+    """Run one configuration, expanding a sweep if present: its points are
+    evaluated in order, in the calling thread."""
+    fn = _COMPUTE[cfg["command"]]
     name = cfg["sweep_param"]
+    if not name:
+        return fn(cfg)
     values = _parse_values(cfg["sweep_spec"])
-
-    def one(v):
-        sub = dict(cfg)
-        sub[name] = float(v)
-        sub["sweep_param"] = None
-        return fn(sub)
-
-    with ThreadPoolExecutor(max_workers=cfg["threads"]) as ex:
-        results = list(ex.map(one, values))
+    results = [fn({**cfg, name: v, "sweep_param": None}) for v in values]
     header = [name] + results[0][0]
     rows = [[float(v)] + r
             for v, (_, sub_rows, _) in zip(values, results) for r in sub_rows]

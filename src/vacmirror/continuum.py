@@ -110,6 +110,9 @@ __all__ = [
 
 ASYMPTOTIC_REGIME_DISTANCE = 5.0   # in units of c/omega0
 DEFAULT_BUDGET = 1e8
+# the smallest epsrel scipy's quad accepts with epsabs = 0; below it the
+# achieved-tolerance check decides whether a requested tolerance is met
+QUAD_EPSREL_FLOOR = 50.0 * np.finfo(float).eps
 
 
 @dataclass(frozen=True)
@@ -134,9 +137,14 @@ class ProbePoint:
     log_slope: float
 
 
+def _check_distances(xt1, xt2):
+    if not (0 < xt1 < math.inf and 0 < xt2 < math.inf):
+        raise UsageError(
+            f"distances must be positive and finite, got xt1={xt1}, xt2={xt2}")
+
+
 def _check_far_field_regime(params, xt1, xt2, name):
-    if xt1 <= 0 or xt2 <= 0:
-        raise UsageError(f"distances must be positive, got xt1={xt1}, xt2={xt2}")
+    _check_distances(xt1, xt2)
     scale = params.c / params.omega0
     if min(xt1, xt2) < ASYMPTOTIC_REGIME_DISTANCE * scale:
         warnings.warn(
@@ -214,8 +222,8 @@ def _a_integral(params, omega_m, xt, offset, epsrel, counter):
         counter.tick()
         return math.exp(-w0 * t) * _s2(xt, base + c * t)
 
-    val, err = quad(f, 0.0, np.inf, epsabs=0.0, epsrel=epsrel, limit=400)
-    return val, err
+    return quad(f, 0.0, np.inf, epsabs=0.0,
+                epsrel=max(epsrel, QUAD_EPSREL_FLOOR), limit=400)
 
 
 def _b_integral(params, omega_m, xt_a, xt_b, epsrel, counter):
@@ -229,8 +237,8 @@ def _b_integral(params, omega_m, xt_a, xt_b, epsrel, counter):
         inner, _ = _a_integral(params, omega_m, xt_a, c * u, epsrel / 4.0, counter)
         return _s2(xt_b, off0 + c * u) * inner
 
-    val, err = quad(outer, 0.0, np.inf, epsabs=0.0, epsrel=epsrel, limit=400)
-    return val, err
+    return quad(outer, 0.0, np.inf, epsabs=0.0,
+                epsrel=max(epsrel, QUAD_EPSREL_FLOOR), limit=400)
 
 
 def _partial_analytic(params, omega_m, xt1, xt2, rel_tol, budget):
@@ -331,7 +339,6 @@ def _full_quadrature(params, omega_m, xt1, xt2, rel_tol, budget):
 
     neval = 0
     prev = None
-    best = None
     achieved = math.inf
     scale = 1.0
     while True:
@@ -342,16 +349,13 @@ def _full_quadrature(params, omega_m, xt1, xt2, rel_tol, budget):
                 f"full-quadrature refinement would exceed the evaluation "
                 f"budget {budget:.1e} (achieved tolerance {achieved:.2e}, "
                 f"requested {rel_tol:.2e})",
-                best_estimate=best, achieved_rel_tol=achieved)
+                best_estimate=prev, achieved_rel_tol=achieved)
         neval += cost
         value = -pre * total
         if prev is not None:
             achieved = abs(value - prev) / abs(value) if value != 0 else math.inf
-            best = value
             if achieved <= rel_tol:
                 return value, achieved, neval
-        else:
-            best = value
         prev = value
         scale *= 1.5
 
@@ -369,7 +373,8 @@ def continuum_correlation(params: PhysicalParams, omega_m: float,
     xt1, xt2 : float
         Distances of the two points from the movable wall (> 0).
     rel_tol : float
-        Requested relative tolerance.
+        Requested relative tolerance.  partial_analytic reaches about
+        2e-14 at best and raises ConvergenceError below what it reached.
     method : {'partial_analytic', 'full_quadrature'}
         Evaluation path; the two agree within their reported tolerances.
     budget : float
@@ -378,12 +383,13 @@ def continuum_correlation(params: PhysicalParams, omega_m: float,
         partial_analytic stops at the first evaluation over the cap and
         has no estimate; full_quadrature carries the best estimate.
     """
-    if xt1 <= 0 or xt2 <= 0:
-        raise UsageError(f"distances must be positive, got xt1={xt1}, xt2={xt2}")
-    if omega_m <= 0 or not math.isfinite(omega_m):
+    _check_distances(xt1, xt2)
+    if not 0 < omega_m < math.inf:
         raise UsageError(f"omega_m must be positive and finite, got {omega_m}")
-    if rel_tol <= 0:
+    if not rel_tol > 0:
         raise UsageError(f"rel_tol must be positive, got {rel_tol}")
+    if not budget > 0:
+        raise UsageError(f"budget must be positive, got {budget}")
     if method == "partial_analytic":
         value, achieved, neval = _partial_analytic(params, omega_m, xt1, xt2,
                                                    rel_tol, budget)
@@ -431,10 +437,12 @@ def scaling_probe(params: PhysicalParams, quantity: str, axis: str, points,
     if pts.size < 3:
         raise UsageError("need at least 3 probe points")
     d = np.diff(pts)
-    if np.any(pts <= 0) or not (np.all(d > 0) or np.all(d < 0)):
-        raise UsageError("probe points must be positive and strictly monotone")
+    if not (np.all((pts > 0) & (pts < np.inf)) and (np.all(d > 0) or np.all(d < 0))):
+        raise UsageError("probe points must be positive, finite and strictly monotone")
     if xt is None:
         xt = 10.0 * params.c / params.omega0
+    elif not 0 < xt < math.inf:
+        raise UsageError(f"xt must be positive and finite, got {xt}")
     if omega_m is None:
         omega_m = 1e3 * params.omega0
 

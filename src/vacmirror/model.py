@@ -243,24 +243,6 @@ def _cutoff_factor(spec: CutoffSpec, total, largest):
     return np.where(np.asarray(passing) <= spec.omega_m, 1.0, 0.0)
 
 
-def _factorizes(spec: CutoffSpec) -> bool:
-    return spec.kind == "exp" or spec.sharp_rule == "per_mode"
-
-
-def per_mode_weights(spec: CutoffSpec, frequencies: np.ndarray) -> np.ndarray:
-    """Per-mode damping factors whose products build factorized summand weights.
-
-    Only valid for the factorizable cutoffs: exponential, or sharp with the
-    per-mode rule (where truncation to the mode set already encodes the
-    cutoff and every weight is 1).
-    """
-    if not _factorizes(spec):
-        raise UsageError(
-            "sharp cutoff with the 'total' rule does not factorize; "
-            "this operation supports sharp_rule='per_mode' only")
-    return _cutoff_factor(spec, frequencies, frequencies)
-
-
 def mode_tables(params: PhysicalParams, cutoff: CutoffSpec, n_max: int | None = None):
     """Mode set and index-sum tables shared by every discrete mode sum.
 
@@ -291,7 +273,8 @@ def mode_tables(params: PhysicalParams, cutoff: CutoffSpec, n_max: int | None = 
     # every mode left passes a sharp per-mode cutoff, so the highest one
     # stands in for the larger frequency of every pair
     g = _cutoff_factor(cutoff, W, np.full_like(W, w[-1]))
-    damp = per_mode_weights(cutoff, w) if _factorizes(cutoff) else None
+    damp = (_cutoff_factor(cutoff, w, w)
+            if cutoff.kind == "exp" or cutoff.sharp_rule == "per_mode" else None)
     return modes, damp, g, W, h
 
 

@@ -198,7 +198,7 @@ def photon_spectrum(params: PhysicalParams, cutoff: CutoffSpec,
     """
     if bin_width is None:
         bin_width = params.omega0 / 20.0
-    if bin_width <= 0:
+    if not bin_width > 0:
         raise UsageError(f"bin_width must be positive, got {bin_width}")
     modes, _, g, W, h = mode_tables(params, cutoff, n_max)
     span = float(W[-1] - W[0])

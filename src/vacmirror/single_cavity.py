@@ -135,12 +135,12 @@ def _cavity_grid(params, grid, origin):
     x = np.asarray(grid, dtype=float)
     if x.ndim != 1 or x.size == 0:
         raise UsageError("grid must be a non-empty 1-D array of positions")
-    if np.any(np.diff(x) <= 0):
+    if not np.all(np.diff(x) > 0):
         raise UsageError("grid must be strictly increasing")
     if origin not in ("fixed", "movable"):
         raise UsageError(f"origin must be 'fixed' or 'movable', got {origin!r}")
     xc = params.length - x if origin == "movable" else x
-    if np.any(xc <= 0.0) or np.any(xc >= params.length):
+    if not np.all((xc > 0.0) & (xc < params.length)):
         raise UsageError(
             "grid points must lie strictly inside the cavity (0, L); "
             "the field vanishes on the walls and observables are not "

@@ -3,11 +3,13 @@ import math
 import os
 import subprocess
 import sys
+import threading
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+from vacmirror import PhysicalParams
 from vacmirror.cli import (build_config, build_parser, compute_rows, main,
                            sidecar_path, write_outputs)
 
@@ -114,6 +116,47 @@ def test_threads_ignore_environment(tmp_path, monkeypatch):
     assert main(["energy-shift", "--m", "10", "-o", str(out)]) == 0
     meta = json.loads(open(sidecar_path(str(out))).read())
     assert meta["threads"] == 1
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["energy-shift", "--sweep", "volume=1,2"], "cannot sweep 'volume'"),
+    (["continuum", "--omega-m", "10", "--xt1", "1", "--xt2", "1",
+      "--sweep", "cutoff-omega-m=10,20"], "needs --cutoff"),
+    (["energy-shift", "--sweep", "xt1=1,2"], "not a parameter of"),
+    (["energy-shift", "--sweep", "mass=2"], "at least 2 points"),
+    (["energy-shift", "--threads", "0"], "threads must be >= 1"),
+])
+def test_sweep_and_threads_validation(tmp_path, capsys, argv, message):
+    assert main(argv + ["-o", str(tmp_path / "x.csv")]) == 2
+    assert message in capsys.readouterr().err
+    assert not (tmp_path / "x.csv").exists()
+
+
+def test_sweeps_start_no_thread(tmp_path, monkeypatch):
+    # sweeps run serially: --threads is validated and recorded, and
+    # selects nothing
+    def start(self):
+        raise AssertionError("a sweep started a thread")
+
+    monkeypatch.setattr(threading.Thread, "start", start)
+    out = tmp_path / "es.csv"
+    assert main(["energy-shift", "--cutoff", "exp:20", "--sweep", "mass=1,2,4",
+                 "--threads", "4", "-o", str(out)]) == 0
+    assert json.loads(open(sidecar_path(str(out))).read())["threads"] == 4
+
+
+def test_si_units(tmp_path, capsys):
+    out = tmp_path / "si.csv"
+    argv = ["energy-shift", "--si", "--m", "1e-20", "--omega0", "1e3",
+            "--L", "1e-3", "--cutoff", "exp:1e14"]
+    assert main(argv + ["-o", str(out)]) == 0
+    lam = PhysicalParams(1e-20, 1e3, 1e-3, 1.054571817e-34, 299792458.0).coupling_lambda
+    assert capsys.readouterr().out == f"# lambda = {lam:.6e}\n"
+    meta = json.loads(open(sidecar_path(str(out))).read())
+    assert (meta["si"], meta["hbar"], meta["c"]) == (True, 1.054571817e-34, 299792458.0)
+    again = tmp_path / "si-rerun.csv"
+    assert main(["rerun", "--sidecar", sidecar_path(str(out)), "-o", str(again)]) == 0
+    assert again.read_bytes() == out.read_bytes()
 
 
 def test_sweep_near_wall_monotone_in_cutoff(tmp_path):
@@ -333,3 +376,35 @@ def test_csv_lines_match_reference_formatter_on_mixed_types(tmp_path):
     write_outputs({"command": "test", "output": str(out)}, ["c"] * 8, rows, {}, 0.0)
     data = out.read_bytes().split(b"\n")[-len(rows) - 1:]
     assert data == [reference_csv_line(r).encode() for r in rows] + [b""]
+
+
+@pytest.mark.parametrize("argv, code", [
+    (["energy-density", "--cutoff", "exp:20", "--grid", "0.1:0.9:x"], 2),
+    (["energy-shift", "--sweep", "mass=1:2:2.5"], 2),
+    (["oracle-validate", "--lambdas", "0"], 2),
+    (["continuum", "--omega-m", "10", "--xt1", "1", "--xt2", "1",
+      "--rel-tol", "1e-16"], 3),
+    (["continuum", "--omega-m", "10", "--xt1", "nan", "--xt2", "1"], 2),
+    (["correlation", "--method", "asymptotic", "--xt1", "nan", "--xt2", "1"], 2),
+    (["scaling", "--quantity", "far_field", "--axis", "mass",
+      "--points", "1,2,4", "--xt", "nan"], 2),
+    (["continuum", "--omega-m", "10", "--xt1", "1", "--xt2", "1",
+      "--rel-tol", "nan"], 2),
+    (["continuum", "--omega-m", "10", "--xt1", "1", "--xt2", "1",
+      "--budget", "nan"], 2),
+    (["spectrum", "--cutoff", "exp:20", "--bin-width", "nan"], 2),
+], ids=["range-count", "sweep-count", "zero-coupling", "unreachable-rel-tol",
+        "continuum-nan-xt", "asymptotic-nan-xt", "scaling-nan-xt",
+        "nan-rel-tol", "nan-budget", "nan-bin-width"])
+def test_malformed_request_exit_codes(tmp_path, argv, code):
+    # a fresh interpreter through the module entry point: the error ends
+    # the run with its exit code and one message line, never a traceback
+    proc = subprocess.run([sys.executable, "-m", "vacmirror.cli", *argv,
+                           "-o", "x.csv"], cwd=tmp_path,
+                          env=dict(os.environ, PYTHONPATH=SRC),
+                          capture_output=True, text=True, timeout=300)
+    assert proc.returncode == code, proc.stderr
+    assert "Traceback" not in proc.stderr
+    lines = proc.stderr.splitlines()
+    assert [ln for ln in lines if ln.startswith("vacmirror:")] == lines[-1:]
+    assert not (tmp_path / "x.csv").exists()

@@ -262,3 +262,52 @@ def test_far_field_validation(params_unit):
         far_field_correlation(params_unit, 1.0, -2.0)
     with pytest.warns(UserWarning, match="regime"):
         far_field_correlation(params_unit, 0.5, 10.0)
+
+
+@pytest.mark.parametrize("method", ["partial_analytic", "full_quadrature"])
+@pytest.mark.parametrize("xt1", [math.nan, math.inf])
+def test_continuum_rejects_non_finite_distance(params_unit, method, xt1):
+    with pytest.raises(UsageError, match="distances"):
+        continuum_correlation(params_unit, 10.0, xt1, 1.0, method=method)
+
+
+@pytest.mark.parametrize("law", [asymptotic_correlation, far_field_correlation])
+def test_closed_forms_reject_nan_distance(params_unit, law):
+    with pytest.raises(UsageError, match="distances"):
+        law(params_unit, math.nan, 1.0)
+
+
+def test_scaling_probe_rejects_nan_distance(params_unit):
+    with pytest.raises(UsageError, match="xt must be positive"):
+        scaling_probe(params_unit, "far_field", "mass", [1.0, 2.0, 4.0], xt=math.nan)
+    with pytest.raises(UsageError, match="probe points"):
+        scaling_probe(params_unit, "far_field", "distance", [10.0, 20.0, math.inf])
+
+
+def test_continuum_rejects_nan_rel_tol(params_unit):
+    with pytest.raises(UsageError, match="rel_tol"):
+        continuum_correlation(params_unit, 10.0, 1.0, 1.0, rel_tol=math.nan)
+
+
+@pytest.mark.parametrize("method", ["partial_analytic", "full_quadrature"])
+def test_continuum_rejects_nan_budget(params_unit, method):
+    # n > nan is never true: a NaN budget would never stop the work
+    with pytest.raises(UsageError, match="budget"):
+        continuum_correlation(params_unit, 10.0, 1.0, 1.0, method=method,
+                              budget=math.nan)
+
+
+def test_partial_analytic_tolerance_below_quad_floor(params_unit):
+    # quad takes no epsrel below 50 eps, so each quadrature is clamped
+    # there; the achieved-tolerance check then accepts what was reached
+    # and fails an unreachable request with its best estimate
+    ref = continuum_correlation(params_unit, 10.0, 1.0, 1.0, rel_tol=1e-10).value
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # quad's roundoff warnings
+        fine = continuum_correlation(params_unit, 10.0, 1.0, 1.0, rel_tol=1e-13)
+        with pytest.raises(ConvergenceError, match="requested 1.00e-16") as exc:
+            continuum_correlation(params_unit, 10.0, 1.0, 1.0, rel_tol=1e-16)
+    assert fine.rel_tol <= 1e-13
+    assert abs(fine.value - ref) <= 1e-10 * abs(ref)
+    assert abs(exc.value.best_estimate - ref) <= 1e-10 * abs(ref)
+    assert 1e-16 < exc.value.achieved_rel_tol < 1e-12

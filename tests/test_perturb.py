@@ -162,6 +162,11 @@ def test_spectrum_bin_width_validation(params_weak):
         photon_spectrum(params_weak, amps.cutoff, bin_width=0.0)
 
 
+def test_spectrum_rejects_nan_bin_width(params_weak):
+    with pytest.raises(UsageError, match="bin_width"):
+        photon_spectrum(params_weak, CutoffSpec.exponential(20.0), bin_width=np.nan)
+
+
 def test_spectrum_peak_reported():
     p = params_for_lambda(0.05, omega0=np.pi)
     spec = photon_spectrum(p, CutoffSpec.exponential(20 * p.omega0))

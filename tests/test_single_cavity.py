@@ -112,6 +112,12 @@ def test_grid_validation(params_weak):
         em_field_fluctuations(params_weak, cut, GRID, "X")
 
 
+@pytest.mark.parametrize("grid", [[np.nan], [0.1, np.nan], [np.nan, 0.5]])
+def test_grid_rejects_nan(params_weak, grid):
+    with pytest.raises(UsageError):
+        delta_energy_density(params_weak, CutoffSpec.exponential(20.0), grid)
+
+
 def test_movable_origin_convention(params_weak):
     cut = CutoffSpec.exponential(20.0)
     xt = np.array([0.1, 0.3, 0.5])
