@@ -5,9 +5,12 @@ the full configuration, a header row, then one record per grid point)
 and a flat JSON sidecar (same configuration keys plus library version,
 wall-clock time and convergence diagnostics).  Identical configurations
 produce byte-identical CSV files; `vacmirror rerun` rebuilds the CSV from
-a sidecar alone.  A sweep evaluates its points in order in the calling
-thread; `--threads` is accepted for compatibility and recorded in the
-sidecar, but selects nothing.
+a sidecar alone.  build_config only translates options (it checks --cutoff,
+where it enters); every other value is checked where the run uses it, in
+compute_rows or a _compute_* function, so a rerun meets the checks and
+exit codes of a command line.  A sweep evaluates its points in order in
+the calling thread; `--threads` is accepted for compatibility and
+recorded in the sidecar, but selects nothing.
 
 Exit codes: 0 success, 2 parameter/usage error, 3 convergence failure,
 4 capacity error.
@@ -190,51 +193,38 @@ def build_parser() -> argparse.ArgumentParser:
 # ---------------------------------------------------------------------------
 
 def build_config(args) -> dict:
-    """Validated, flat, JSON-serializable run configuration."""
+    """Flat, JSON-serializable run configuration translated from the options.
+
+    Checks only --cutoff, where it enters; compute_rows and the _compute_*
+    functions check every other value where the run uses it."""
     cfg = {"command": args.command, "output": args.output}
-    hbar = args.hbar
-    c = args.c
-    if args.si:
-        hbar = SI_HBAR if hbar is None else hbar
-        c = SI_C if c is None else c
-    else:
-        hbar = 1.0 if hbar is None else hbar
-        c = 1.0 if c is None else c
+    hbar, c = (SI_HBAR, SI_C) if args.si else (1.0, 1.0)
     cfg.update(mass=args.mass, omega0=args.omega0, length=args.length,
-               hbar=hbar, c=c, si=bool(args.si))
-    params = PhysicalParams(cfg["mass"], cfg["omega0"], cfg["length"],
-                            cfg["hbar"], cfg["c"])
+               hbar=hbar if args.hbar is None else args.hbar,
+               c=c if args.c is None else args.c, si=args.si)
 
     if args.cutoff is not None:
         kind, omega_m = _parse_cutoff(args.cutoff)
-        cfg.update(cutoff_kind=kind, cutoff_omega_m=omega_m,
-                   sharp_rule=args.sharp_rule)
         CutoffSpec(kind, omega_m, args.sharp_rule)  # validate now
+        cfg.update(cutoff_kind=kind, cutoff_omega_m=omega_m)
     else:
-        cfg.update(cutoff_kind=None, cutoff_omega_m=None,
-                   sharp_rule=args.sharp_rule)
-    cfg["n_max"] = args.n_max
+        cfg.update(cutoff_kind=None, cutoff_omega_m=None)
+    cfg.update(sharp_rule=args.sharp_rule, n_max=args.n_max)
 
     cmd = args.command
+    L = args.length
     if cmd == "spectrum":
         cfg["bin_width"] = args.bin_width
     if cmd in ("energy-density", "em-fluct"):
-        cfg["grid"] = args.grid or f"{0.01 * params.length!r}:{0.99 * params.length!r}:200"
+        cfg["grid"] = args.grid or f"{0.01 * L!r}:{0.99 * L!r}:200"
         cfg["origin"] = args.origin
     if cmd == "em-fluct":
         cfg["component"] = args.component
     if cmd == "correlation":
         cfg["method"] = args.method
         if args.method == "asymptotic":
-            if args.xt1 is None or args.xt2 is None:
-                raise ParameterError("asymptotic correlation needs --xt1 and --xt2")
-            if cfg["cutoff_kind"] == "sharp":
-                raise ParameterError(
-                    "--method asymptotic is incompatible with a sharp cutoff; "
-                    "the closed form assumes omega_m -> infinity")
             cfg.update(xt1=args.xt1, xt2=args.xt2)
         else:
-            L = params.length
             cfg["x1_grid"] = args.x1_grid or f"{0.05 * L!r}:{0.95 * L!r}:10"
             cfg["x2_grid"] = args.x2_grid or f"{1.05 * L!r}:{1.95 * L!r}:10"
             cfg["negativity"] = args.negativity
@@ -244,38 +234,18 @@ def build_config(args) -> dict:
     if cmd == "scaling":
         cfg.update(quantity=args.quantity, axis=args.axis, points=args.points,
                    xt=args.xt, omega_m=args.omega_m, rel_tol=args.rel_tol)
-        _parse_values(args.points)
     if cmd == "oracle-validate":
         cavities = "one" if args.cavities == "1" else "two"
         modes = args.modes if args.modes is not None else (2 if cavities == "one" else 1)
         cfg.update(cavities=cavities, modes_per_cavity=modes,
                    max_photons=args.max_photons, max_mirror=args.max_mirror,
                    lambdas=args.lambdas, x1=args.x1, x2=args.x2)
-        # each coupling sets the mass hbar / (8 lambda^2 omega0 L^2)
-        if not all(0 < lam < math.inf for lam in _parse_values(args.lambdas)):
-            raise ParameterError(
-                f"couplings must be positive and finite, got {args.lambdas!r}")
 
     if args.sweep:
         name, _, spec = args.sweep.partition("=")
-        name = name.replace("-", "_")
-        if name not in SWEEPABLE:
-            raise ParameterError(
-                f"cannot sweep {name!r}; sweepable: {sorted(SWEEPABLE)}")
-        if name not in cfg or cfg.get(name) is None:
-            if name == "cutoff_omega_m":
-                raise ParameterError("sweeping cutoff_omega_m needs --cutoff")
-            if name not in ("mass", "omega0", "length"):
-                raise ParameterError(f"{name!r} is not a parameter of {cmd!r}")
-        values = _parse_values(spec)
-        if len(values) < 2:
-            raise ParameterError("a sweep needs at least 2 points")
-        cfg.update(sweep_param=name, sweep_spec=spec)
+        cfg.update(sweep_param=name.replace("-", "_"), sweep_spec=spec)
     else:
         cfg.update(sweep_param=None, sweep_spec=None)
-
-    if args.threads < 1:
-        raise ParameterError("threads must be >= 1")
     cfg["threads"] = args.threads
     return cfg
 
@@ -342,6 +312,12 @@ def _compute_profile(cfg):
 def _compute_correlation(cfg):
     params = _params_from(cfg)
     if cfg["method"] == "asymptotic":
+        if cfg["xt1"] is None or cfg["xt2"] is None:
+            raise ParameterError("asymptotic correlation needs --xt1 and --xt2")
+        if cfg["cutoff_kind"] == "sharp":
+            raise ParameterError(
+                "--method asymptotic is incompatible with a sharp cutoff; "
+                "the closed form assumes omega_m -> infinity")
         value = asymptotic_correlation(params, cfg["xt1"], cfg["xt2"])
         return (["xt1", "xt2", "value", "method", "achieved_rel_tol"],
                 [[cfg["xt1"], cfg["xt2"], value, "asymptotic", ""]],
@@ -385,6 +361,10 @@ def _compute_scaling(cfg):
 def _compute_oracle_validate(cfg):
     base = _params_from(cfg)
     lambdas = _parse_values(cfg["lambdas"])
+    # each coupling sets the mass hbar / (8 lambda^2 omega0 L^2)
+    if not all(0 < lam < math.inf for lam in lambdas):
+        raise ParameterError(
+            f"couplings must be positive and finite, got {cfg['lambdas']!r}")
     trunc = TruncationSpec(modes_per_cavity=cfg["modes_per_cavity"],
                            max_photons_per_mode=cfg["max_photons"],
                            max_mirror_quanta=cfg["max_mirror"])
@@ -430,13 +410,28 @@ _COMPUTE = {
 
 
 def compute_rows(cfg):
-    """Run one configuration, expanding a sweep if present: its points are
-    evaluated in order, in the calling thread."""
-    fn = _COMPUTE[cfg["command"]]
+    """Check and run one configuration, expanding a sweep if present: its
+    points are evaluated in order, in the calling thread."""
+    cmd = cfg["command"]
+    fn = _COMPUTE.get(cmd)
+    if fn is None:
+        raise ParameterError(
+            f"invalid choice: {cmd!r} (choose from {', '.join(_COMPUTE)})")
+    if cfg["threads"] < 1:
+        raise ParameterError("threads must be >= 1")
     name = cfg["sweep_param"]
-    if not name:
+    if name is None:
         return fn(cfg)
+    _params_from(cfg)  # the base parameters are recorded, swept or not
+    if name not in SWEEPABLE:
+        raise ParameterError(f"cannot sweep {name!r}; sweepable: {sorted(SWEEPABLE)}")
+    if cfg.get(name) is None:
+        if name == "cutoff_omega_m":
+            raise ParameterError("sweeping cutoff_omega_m needs --cutoff")
+        raise ParameterError(f"{name!r} is not a parameter of {cmd!r}")
     values = _parse_values(cfg["sweep_spec"])
+    if len(values) < 2:
+        raise ParameterError("a sweep needs at least 2 points")
     results = [fn({**cfg, name: v, "sweep_param": None}) for v in values]
     header = [name] + results[0][0]
     rows = [[float(v)] + r
@@ -526,10 +521,10 @@ def main(argv=None) -> int:
             cfg["output"] = args.output
         else:
             cfg = build_config(args)
-        if cfg.get("si"):
-            params = _params_from(cfg)
-            print(f"# lambda = {params.coupling_lambda:.6e}")
         header, rows, diag = _compute_recording_warnings(cfg)
+        # stdout carries the coupling only for a run that passed its checks
+        if cfg.get("si"):
+            print(f"# lambda = {_params_from(cfg).coupling_lambda:.6e}")
         write_outputs(cfg, header, rows, diag, time.perf_counter() - t0)
         return 0
     except (ParameterError, UsageError) as exc:

@@ -296,29 +296,31 @@ def _axis_rule(xt, k_max, k_struct, scale, gl_order=6):
     return nodes, wts
 
 
-def _pair_arrays(params, omega_m, xt, k_max, k_struct, scale):
-    """One cavity's pairs p <= q of its two axes: weights, K sums, rule size.
+def _pair_arrays(params, omega_m, xt, k, w):
+    """One cavity's pairs p <= q of its axis rule (k, w): weights and K sums.
 
     The summand depends on (p, q) only through K = k_p + k_q and
     amp_p amp_q, so the pairs (p, q) and (q, p) are folded into one whose
-    weight is doubled when p != q.  The third value is the number n^2 of
-    ordered pairs, which the budget counts.
+    weight is doubled when p != q.
     """
-    k, w = _axis_rule(xt, k_max, k_struct, scale)
     amp = w * np.sin(k * xt) * np.exp(-params.c * k / omega_m)
     p, q = np.triu_indices(k.size)
     P = amp[p] * amp[q]
     P[p != q] *= 2.0
-    return P, k[p] + k[q], k.size**2
+    return P, k[p] + k[q]
 
 
 def _full_level(params, omega_m, xt1, xt2, k_max, k_struct, scale, budget, spent):
     w0, c = params.omega0, params.c
-    P1, K1, n1 = _pair_arrays(params, omega_m, xt1, k_max, k_struct, scale)
-    P2, K2, n2 = _pair_arrays(params, omega_m, xt2, k_max, k_struct, scale)
-    cost = n1 * n2
+    rule1 = _axis_rule(xt1, k_max, k_struct, scale)
+    rule2 = _axis_rule(xt2, k_max, k_struct, scale)
+    # the budget counts the n1^2 n2^2 ordered pairs of the two axis rules;
+    # it is checked before any pair array exists
+    cost = (rule1[0].size * rule2[0].size) ** 2
     if spent + cost > budget:
         return None, cost
+    P1, K1 = _pair_arrays(params, omega_m, xt1, *rule1)
+    P2, K2 = _pair_arrays(params, omega_m, xt2, *rule2)
     D1 = 1.0 / (w0 + c * K1)
     D2 = 1.0 / (w0 + c * K2)
     t1 = float(np.dot(P1, D1) * np.dot(P2, D2))

@@ -68,10 +68,18 @@ def test_asymptotic_with_sharp_cutoff_rejected(tmp_path):
     assert rc == 2
 
 
-def test_parameter_error_exit_code(tmp_path):
+def test_parameter_error_exit_code(tmp_path, capsys):
     out = tmp_path / "x.csv"
     assert main(["energy-shift", "--m", "-3", "-o", str(out)]) == 2
     assert main(["energy-shift", "--cutoff", "weird:5", "-o", str(out)]) == 2
+    # --cutoff is checked where it enters, also for a command that has no
+    # use for it
+    assert main(["continuum", "--omega-m", "10", "--xt1", "1", "--xt2", "1",
+                 "--cutoff", "exp:-5", "-o", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert "omega_m must be positive and finite" in captured.err
+    assert captured.out == ""
+    assert not out.exists()
 
 
 def test_capacity_error_exit_code(tmp_path):
@@ -89,14 +97,36 @@ def test_convergence_error_exit_code(tmp_path):
 
 
 def test_rerun_byte_identical(tmp_path):
-    out1 = tmp_path / "a.csv"
-    rc = main(["energy-density", "--m", "20", "--omega0", "3.14159",
-               "--cutoff", "exp:40", "--grid", "0.1:0.9:7", "-o", str(out1)])
-    assert rc == 0
-    out2 = tmp_path / "b.csv"
-    rc = main(["rerun", "--sidecar", sidecar_path(str(out1)), "-o", str(out2)])
-    assert rc == 0
-    assert out1.read_bytes() == out2.read_bytes()
+    # every computing command, a sweep at --threads 3 and an --si sweep:
+    # the sidecar translates back into the configuration the run used
+    runs = [
+        ["energy-density", "--m", "20", "--omega0", "3.14159",
+         "--cutoff", "exp:40", "--grid", "0.1:0.9:7"],
+        ["energy-shift", "--m", "10", "--cutoff", "exp:30"],
+        ["spectrum", "--m", "2", "--cutoff", "sharp:40", "--sharp-rule", "total"],
+        ["em-fluct", "--component", "B", "--cutoff", "exp:20",
+         "--grid", "0.1:0.9:5", "--origin", "movable"],
+        ["correlation", "--cutoff", "exp:20", "--x1-grid", "0.2:0.8:3",
+         "--x2-grid", "1.2:1.8:2"],
+        ["correlation", "--method", "asymptotic", "--xt1", "6", "--xt2", "7"],
+        ["continuum", "--omega-m", "1", "--xt1", "0.5", "--xt2", "0.5"],
+        ["scaling", "--quantity", "far_field", "--axis", "distance",
+         "--points", "20:80:3:log"],
+        ["oracle-validate", "--lambdas", "0.05,0.025", "--max-photons", "3",
+         "--max-mirror", "3"],
+        ["energy-density", "--m", "15", "--cutoff", "exp:30", "--grid",
+         "0.2:0.8:5", "--sweep", "cutoff-omega-m=10,20,30", "--threads", "3"],
+        ["energy-shift", "--si", "--m", "1e-20", "--omega0", "1e3",
+         "--L", "1e-3", "--cutoff", "exp:1e14", "--sweep", "mass=1e-20,2e-20"],
+    ]
+    for i, argv in enumerate(runs):
+        out1 = tmp_path / f"a{i}.csv"
+        rc = main(argv + ["-o", str(out1)])
+        assert rc == 0, argv
+        out2 = tmp_path / f"b{i}.csv"
+        rc = main(["rerun", "--sidecar", sidecar_path(str(out1)), "-o", str(out2)])
+        assert rc == 0, argv
+        assert out1.read_bytes() == out2.read_bytes(), argv
 
 
 def test_determinism_and_thread_invariance(tmp_path):
@@ -125,11 +155,78 @@ def test_threads_ignore_environment(tmp_path, monkeypatch):
     (["energy-shift", "--sweep", "xt1=1,2"], "not a parameter of"),
     (["energy-shift", "--sweep", "mass=2"], "at least 2 points"),
     (["energy-shift", "--threads", "0"], "threads must be >= 1"),
+    (["energy-shift", "--sweep", "mass"], "at least 2 points"),
+    (["energy-shift", "--sweep", "=1,2"], "cannot sweep ''"),
+    (["energy-shift", "--si", "--sweep", "mass=2"], "at least 2 points"),
 ])
 def test_sweep_and_threads_validation(tmp_path, capsys, argv, message):
     assert main(argv + ["-o", str(tmp_path / "x.csv")]) == 2
-    assert message in capsys.readouterr().err
+    captured = capsys.readouterr()
+    assert message in captured.err
+    assert captured.out == ""
     assert not (tmp_path / "x.csv").exists()
+
+
+def _exit_code(argv):
+    # main's code, or argparse's for a command line it rejects itself
+    try:
+        return main(argv)
+    except SystemExit as exc:
+        return exc.code
+
+
+ES_SWEEP = ["energy-shift", "--cutoff", "exp:20", "--sweep", "mass=1,2"]
+ASYMPTOTIC = ["correlation", "--method", "asymptotic", "--xt1", "6", "--xt2", "7"]
+ORACLE = ["oracle-validate", "--lambdas", "0.05", "--max-photons", "2",
+          "--max-mirror", "2"]
+
+
+@pytest.mark.parametrize("argv, key, value, command_line, message", [
+    (ES_SWEEP, "sweep_param", "volume",
+     ["energy-shift", "--sweep", "volume=1,2"], "cannot sweep 'volume'"),
+    (ES_SWEEP, "sweep_spec", "3",
+     ["energy-shift", "--sweep", "mass=3"], "at least 2 points"),
+    (ES_SWEEP, "threads", 0,
+     ["energy-shift", "--threads", "0"], "threads must be >= 1"),
+    (ASYMPTOTIC, "cutoff_kind", "sharp", ASYMPTOTIC + ["--cutoff", "sharp:50"],
+     "incompatible with a sharp cutoff"),
+    (ASYMPTOTIC, "xt1", None,
+     ["correlation", "--method", "asymptotic", "--xt2", "7"],
+     "needs --xt1 and --xt2"),
+    (ORACLE, "lambdas", "0", ORACLE + ["--lambdas", "0"],
+     "couplings must be positive and finite"),
+    (ES_SWEEP, "command", "bogus", ["bogus"], "invalid choice: 'bogus'"),
+], ids=["sweep-param", "sweep-spec", "threads", "cutoff-kind", "xt1",
+        "lambdas", "command"])
+def test_rerun_meets_command_line_checks(tmp_path, capsys, argv, key, value,
+                                         command_line, message):
+    # a sidecar edited in one key is rejected as its command line is:
+    # exit 2, the same message, no CSV
+    first = tmp_path / "a.csv"
+    assert main(argv + ["-o", str(first)]) == 0
+    meta = json.loads(open(sidecar_path(str(first))).read())
+    meta[key] = value
+    edited = tmp_path / "edited.meta.json"
+    edited.write_text(json.dumps(meta))
+    capsys.readouterr()
+    assert _exit_code(command_line + ["-o", str(tmp_path / "c.csv")]) == 2
+    assert message in capsys.readouterr().err
+    rerun = ["rerun", "--sidecar", str(edited), "-o", str(tmp_path / "b.csv")]
+    if key == "command":
+        # one case through the module entry point in a fresh interpreter
+        proc = subprocess.run([sys.executable, "-m", "vacmirror.cli", *rerun],
+                              cwd=tmp_path, env=dict(os.environ, PYTHONPATH=SRC),
+                              capture_output=True, text=True, timeout=300)
+        rc, err = proc.returncode, proc.stderr
+        assert "Traceback" not in err
+        lines = err.splitlines()
+        assert [ln for ln in lines if ln.startswith("vacmirror:")] == lines[-1:]
+    else:
+        rc, err = main(rerun), capsys.readouterr().err
+    assert rc == 2
+    assert message in err
+    assert not (tmp_path / "b.csv").exists()
+    assert not (tmp_path / "c.csv").exists()
 
 
 def test_sweeps_start_no_thread(tmp_path, monkeypatch):

@@ -134,6 +134,21 @@ def test_full_quadrature_memory_bound(params_unit):
     assert peak < 16 * 2**20
 
 
+def test_full_quadrature_budget_checked_before_pair_arrays(params_unit):
+    # a far point has 34380 axis nodes, a nominal cost of 1.4e18 against
+    # the default budget 1e8: it fails on the budget before either
+    # cavity's folded pair arrays (4.4 GiB) exist; one axis rule is 0.79 MiB
+    tracemalloc.start()
+    try:
+        with pytest.raises(ConvergenceError, match="budget"):
+            continuum_correlation(params_unit, 10.0, 100.0, 100.0,
+                                  method="full_quadrature")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * 2**20
+
+
 def test_paths_agree(params_unit):
     # the two evaluation paths share nothing beyond the integrand
     for (xt1, xt2, wm) in [(0.08, 0.1, 10.0), (0.15, 0.15, 15.0)]:
