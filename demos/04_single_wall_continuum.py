@@ -27,9 +27,9 @@ pa = continuum_correlation(params, 10.0, 0.08, 0.10, rel_tol=1e-8)
 fq = continuum_correlation(params, 10.0, 0.08, 0.10, rel_tol=1e-7,
                            method="full_quadrature")
 print(f"  partial-analytic  {pa.value:.10e}  (reported tol {pa.rel_tol:.1e}, "
-      f"{pa.neval} evaluations)")
+      f"{pa.neval} rule nodes)")
 print(f"  full quadrature   {fq.value:.10e}  (reported tol {fq.rel_tol:.1e}, "
-      f"{fq.neval} evaluations)")
+      f"{fq.neval} nominal summands)")
 print(f"  relative difference {abs(pa.value - fq.value) / abs(pa.value):.2e}\n")
 
 print("discrete cavity sums approaching the continuum value:")

@@ -21,6 +21,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import numbers
 import os
 import sys
 import time
@@ -59,6 +60,9 @@ def _parse_cutoff(text: str) -> tuple[str, float]:
 
 def _parse_values(spec: str) -> list[float]:
     """Comma list '1,2,4' or range 'lo:hi:n' / 'lo:hi:n:log'."""
+    if not isinstance(spec, str):
+        raise ParameterError(
+            f"value list must be a string like '1,2,4' or 'lo:hi:n[:log]', got {spec!r}")
     if ":" in spec:
         parts = spec.split(":")
         if len(parts) not in (3, 4) or (len(parts) == 4 and parts[3] != "log"):
@@ -417,7 +421,10 @@ def compute_rows(cfg):
     if fn is None:
         raise ParameterError(
             f"invalid choice: {cmd!r} (choose from {', '.join(_COMPUTE)})")
-    if cfg["threads"] < 1:
+    threads = cfg["threads"]
+    if not isinstance(threads, numbers.Integral):
+        raise ParameterError(f"threads must be an integer, got {threads!r}")
+    if threads < 1:
         raise ParameterError("threads must be >= 1")
     name = cfg["sweep_param"]
     if name is None:

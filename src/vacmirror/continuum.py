@@ -26,8 +26,20 @@ Two independent evaluation paths are provided and cross-validated:
                 S(xt1, c(1/omega_m + t + u))^2 S(xt2, c(1/omega_m + u))^2,
       T3      = T2 with xt1 <-> xt2,
 
-  evaluated by adaptive 1-D/nested quadrature.  This path works at any
-  omega_m * xt / c.
+  A is elementary.  At offset b (c/omega_m in T1, c/omega_m + c u in
+  T2 and T3), with kappa = w0/c and w = kappa (b - i x),
+
+      A = (Im I1 / x - Re I2) / (2 c),  I1 = e^w E1(w),
+      I2 = 1/(b - i x) - kappa I1,
+
+  and a series in (x/b)^2 where b >= 2x, where those two terms cancel
+  (see _a_closed).  T2 and T3 are then 1-D integrals in u of smooth
+  functions, evaluated by one fixed Gauss-Legendre rule on panels that
+  double from below the smallest to far beyond the largest of the
+  scales xt1/c, xt2/c and 1/w0; a coarser rule on the same panels gives
+  the error estimate.  This path works at any omega_m * xt / c, and it
+  evaluates the points of a scaling probe together, in vectorized blocks
+  of up to BLOCK_NODES rule nodes.
 - 'full_quadrature': direct tensor-product Gauss-Legendre quadrature of
   the k integrals on axes truncated where the exponential damping makes
   the tail negligible, with half-wavelength panels and global panel
@@ -88,6 +100,7 @@ xt = 5 c/omega0 and grows like xt.  scaling_probe measures both laws.
 
 from __future__ import annotations
 
+import functools
 import math
 import warnings
 from dataclasses import dataclass
@@ -110,9 +123,23 @@ __all__ = [
 
 ASYMPTOTIC_REGIME_DISTANCE = 5.0   # in units of c/omega0
 DEFAULT_BUDGET = 1e8
-# the smallest epsrel scipy's quad accepts with epsabs = 0; below it the
-# achieved-tolerance check decides whether a requested tolerance is met
-QUAD_EPSREL_FLOOR = 50.0 * np.finfo(float).eps
+# partial_analytic (see _u_rule, _cf, _a_closed): the orders of the fine
+# and coarse rules in u; the radius inside which e^w E1(w) is scipy's
+# exp1 and outside which it is the continued fraction; the fraction's
+# term counts below and above |z| = 6, which reach 3e-16 relative from
+# |w| = 1.5 (n = 1) and z + n = 6 (n >= 4) on; the offset-to-distance
+# ratio from which A is the series in (x/b)^2, and its term count
+# (truncation below 1e-17); and the roundoff floor of the error
+# estimate, above the closed-form A's largest error against a 30-digit
+# reference, 5.3e-15 relative
+GL_FINE, GL_COARSE = 64, 32
+EXP1_RADIUS = 1.5
+CF_TERMS, CF_FAST_RADIUS = (120, 40), 6.0
+SERIES_RATIO, SERIES_TERMS = 2.0, 28
+ROUNDOFF = 32 * np.finfo(float).eps
+# rule nodes of the points evaluated in one vectorized call: a node holds
+# about 650 bytes of arrays, so a probe of any length peaks near 25 MiB
+BLOCK_NODES = 1 << 15
 
 
 @dataclass(frozen=True)
@@ -124,8 +151,9 @@ class ContinuumPoint:
     value: float
     rel_tol: float           # achieved relative tolerance estimate
     method: str
-    neval: int = 0           # integrand calls (partial_analytic) or nominal
-                             # tensor summands n1^2 n2^2 (full_quadrature)
+    neval: int = 0           # nodes of the fine and coarse rules in u
+                             # (partial_analytic) or nominal tensor
+                             # summands n1^2 n2^2 (full_quadrature)
 
 
 @dataclass(frozen=True)
@@ -189,79 +217,211 @@ def far_field_correlation(params: PhysicalParams, xt1: float, xt2: float) -> flo
 # partial-analytic path
 # ---------------------------------------------------------------------------
 
+@functools.cache
+def _gauss(order):
+    """Gauss-Legendre nodes and weights on [-1, 1], computed once, read-only."""
+    xg, wg = leggauss(order)
+    xg.flags.writeable = wg.flags.writeable = False
+    return xg, wg
+
+
+def _panel_rule(edges, xg, wg):
+    """The Gauss-Legendre rule (xg, wg) on each panel between edges."""
+    half = 0.5 * (edges[1:] - edges[:-1])
+    mid = 0.5 * (edges[1:] + edges[:-1])
+    nodes = (mid[:, None] + half[:, None] * xg[None, :]).ravel()
+    wts = (half[:, None] * wg[None, :]).ravel()
+    return nodes, wts
+
+
 def _s2(x, a):
     """S(x, a)^2 with S the half-line sine transform of exp(-a k)."""
     return (x / (x * x + a * a)) ** 2
 
 
-class _EvalCounter:
-    """Integrand evaluations; the one past the budget stops the quadrature."""
+def _cf(z, n):
+    """e^z E_n(z) by its continued fraction, and the fraction's tail t.
 
-    __slots__ = ("n", "budget")
-
-    def __init__(self, budget):
-        self.n = 0
-        self.budget = budget
-
-    def tick(self):
-        self.n += 1
-        if self.n > self.budget:
-            raise ConvergenceError(
-                f"partial-analytic quadrature stopped at its evaluation "
-                f"budget of {self.budget:.1e} integrand evaluations",
-                achieved_rel_tol=math.inf)
-
-
-def _a_integral(params, omega_m, xt, offset, epsrel, counter):
-    """int_0^inf dt e^(-w0 t) S(xt, offset + c/omega_m + c t)^2."""
-    from scipy.integrate import quad
-    w0, c = params.omega0, params.c
-    base = offset + c / omega_m
-
-    def f(t):
-        counter.tick()
-        return math.exp(-w0 * t) * _s2(xt, base + c * t)
-
-    return quad(f, 0.0, np.inf, epsabs=0.0,
-                epsrel=max(epsrel, QUAD_EPSREL_FLOOR), limit=400)
+    e^z E_n(z) = 1/(z + n - t),  t = 1 n/(z + n + 2 - 2 (n + 1)/(z + n + 4 - ...)),
+    the even contraction of Abramowitz & Stegun 5.1.22 (DLMF 6.9), summed
+    from its last term down; z real or complex with Re z >= 0, n >= 1
+    (scalar or one per z).  CF_TERMS gives the term count inside and
+    outside CF_FAST_RADIUS.
+    """
+    n = np.broadcast_to(n, z.shape)
+    g = np.empty(z.shape, dtype=z.dtype)
+    t = np.empty_like(g)
+    fast = np.abs(z) >= CF_FAST_RADIUS
+    for sel, terms in zip((~fast, fast), CF_TERMS):
+        if not sel.any():
+            continue
+        zs, ns = z[sel], n[sel]
+        ts = np.zeros_like(zs)
+        for i in range(terms, 0, -1):
+            ts = i * (ns + (i - 1)) / (zs + (ns + 2 * i) - ts)
+        g[sel], t[sel] = 1.0 / (zs + ns - ts), ts
+    return g, t
 
 
-def _b_integral(params, omega_m, xt_a, xt_b, epsrel, counter):
-    """T2-type cross integral; xt_a carries the t+u offset, xt_b the u offset."""
-    from scipy.integrate import quad
-    c = params.c
-    off0 = c / omega_m
+def _scaled_en(z, terms):
+    """Rows k = 0..terms-1 of e^z E_{4+2k}(z) for real z > 0.
 
-    def outer(u):
-        counter.tick()
-        inner, _ = _a_integral(params, omega_m, xt_a, c * u, epsrel / 4.0, counter)
-        return _s2(xt_b, off0 + c * u) * inner
+    The recurrence m E_{m+1} = e^{-z} - z E_m, two steps at a time,
 
-    return quad(outer, 0.0, np.inf, epsabs=0.0,
-                epsrel=max(epsrel, QUAD_EPSREL_FLOOR), limit=400)
+        e^z E_{m+2} = (m - z + z^2 e^z E_m) / (m (m + 1)),
+
+    loses a factor (z/m)^2 of accuracy per step up and (m/z)^2 per step
+    down.  So each column starts where both directions are stable: at
+    m = 2 (e^z E_2 = 1 - z e^z E_1, scipy's exp1) when z < 2, else at the
+    even m* >= z in [4, 2 terms + 2] (the continued fraction), and recurs
+    up and down from there.
+    """
+    from scipy.special import exp1
+    small = z < 2.0
+    top = 2 * terms + 2
+    start = np.where(small, 2.0, np.clip(2.0 * np.ceil(z / 2.0), 4.0, top))
+    anchor = np.empty_like(z)
+    anchor[small] = 1.0 - z[small] * np.exp(z[small]) * exp1(z[small])
+    anchor[~small] = _cf(z[~small], start[~small])[0]
+    z2 = z * z
+    g = np.empty((terms, z.size))
+    prev = np.where(small, anchor, 0.0)
+    for k, m in enumerate(range(4, top + 1, 2)):
+        up = (m - 2 - z + z2 * prev) / ((m - 2) * (m - 1))
+        prev = g[k] = np.where(m > start, up, np.where(m == start, anchor, 0.0))
+    for k, m in reversed(list(enumerate(range(4, top - 1, 2)))):
+        g[k] = np.where(m < start, (m * (m + 1) * g[k + 1] - m + z) / z2, g[k])
+    return g
+
+
+def _a_closed(x, b, kappa, c):
+    """A = int_0^inf dt e^(-w0 t) S(x, b + c t)^2 at arrays x, b, kappa = w0/c, c.
+
+    With beta = b - i x and w = kappa beta,
+
+        A = (Im I1 / x - Re I2) / (2 c),  I1 = e^w E1(w),  I2 = 1/beta - kappa I1.
+
+    e^w E1(w) is scipy's exp1 for |w| < EXP1_RADIUS and the continued
+    fraction beyond, where I2 = kappa (1 - t) I1 / w without cancellation.
+    For b >= SERIES_RATIO x the two terms of A cancel to O((x/b)^2); there
+    (x^2 + s^2)^-2 is expanded in x^2/s^2 under int_b^inf ds e^{-kappa (s - b)}:
+
+        A = x^2/(c b^3) sum_n (n + 1) (-(x/b)^2)^n e^z E_{4+2n}(z),  z = kappa b.
+    """
+    from scipy.special import exp1
+    out = np.empty(x.shape)
+    ser = b >= SERIES_RATIO * x
+    xs, bs = x[ser], b[ser]
+    g = _scaled_en(kappa[ser] * bs, SERIES_TERMS)
+    r2 = -(xs / bs) ** 2
+    acc = np.zeros_like(xs)
+    for n in range(SERIES_TERMS - 1, -1, -1):
+        acc = acc * r2 + (n + 1) * g[n]
+    out[ser] = xs * xs / (c[ser] * bs**3) * acc
+
+    xc, kc = x[~ser], kappa[~ser]
+    beta = b[~ser] - 1j * xc
+    w = kc * beta
+    i1 = np.empty_like(w)
+    i2 = np.empty_like(w)
+    near = np.abs(w) < EXP1_RADIUS
+    i1[near] = np.exp(w[near]) * exp1(w[near])
+    i2[near] = 1.0 / beta[near] - kc[near] * i1[near]
+    i1[~near], t = _cf(w[~near], 1)
+    i2[~near] = kc[~near] * (1.0 - t) * i1[~near] / w[~near]
+    out[~ser] = (i1.imag / xc - i2.real) / (2.0 * c[~ser])
+    return out
+
+
+def _u_rule(w0, c, xt1, xt2, gauss):
+    """Nodes and weights in u on (0, inf) for T2 and T3 of one point.
+
+    The integrands vary on the scales xt1/c, xt2/c and 1/w0.  With s_lo
+    and s_hi the smallest and largest of them over 4, the Gauss rule
+    `gauss` goes on the panels [0, s_lo], [s_lo, 2 s_lo], ... doubling up
+    to U >= 2^13 s_hi, and on (U, inf) through u = U/v, v in (0, 1).
+    """
+    scales = (xt1 / c, xt2 / c, 1.0 / w0)
+    lo, hi = min(scales) / 4.0, max(scales) / 4.0
+    edges = lo * 2.0 ** np.arange(14 + math.ceil(math.log2(hi / lo)))
+    u, w = _panel_rule(np.concatenate(([0.0], edges)), *gauss)
+    v, wv = _panel_rule(np.array([0.0, 1.0]), *gauss)
+    top = edges[-1]
+    return np.concatenate((u, top / v)), np.concatenate((w, wv * top / v**2))
+
+
+def _rule_sums(block, omega_m):
+    """[fine, coarse] sums T1 + T2 + T3 of each point in one vectorized call.
+
+    block holds (params, xt1, xt2, rules) per point, rules = its fine and
+    coarse rules in u; the closed-form A and S^2 at all their nodes are
+    evaluated together.
+    """
+    # per point, both distances at u = 0 (for T1) and at every node
+    cols = []
+    for p, x1, x2, rules in block:
+        off = p.c / omega_m + p.c * np.concatenate([[0.0]] + [u for u, _ in rules])
+        n = off.size
+        cols.append((np.repeat([x1, x2], n), np.tile(off, 2),
+                     np.full(2 * n, p.omega0 / p.c), np.full(2 * n, p.c),
+                     np.repeat([x2, x1], n)))
+    x, off, kappa, c, other = (np.concatenate(col) for col in zip(*cols))
+    a = _a_closed(x, off, kappa, c)
+    f = a * _s2(other, off)
+
+    sums = []
+    start = 0
+    for *_, rules in block:
+        n = 1 + sum(u.size for u, _ in rules)
+        t1 = a[start] * a[start + n]
+        lo = start + 1
+        totals = []
+        for u, w in rules:
+            hi = lo + u.size
+            totals.append(t1 + np.dot(w, f[lo:hi]) + np.dot(w, f[lo + n:hi + n]))
+            lo = hi
+        sums.append(totals)
+        start += 2 * n
+    return sums
 
 
 def _partial_analytic(params, omega_m, xt1, xt2, rel_tol, budget):
-    counter = _EvalCounter(budget)
-    eps = rel_tol / 8.0
-    a1, e1 = _a_integral(params, omega_m, xt1, 0.0, eps, counter)
-    a2, e2 = _a_integral(params, omega_m, xt2, 0.0, eps, counter)
-    t1 = a1 * a2
-    t1_err = abs(a1) * e2 + abs(a2) * e1
-    t2, e3 = _b_integral(params, omega_m, xt1, xt2, eps, counter)
-    t3, e4 = _b_integral(params, omega_m, xt2, xt1, eps, counter)
-    total = t1 + t2 + t3
-    abs_err = t1_err + e3 + e4
-    achieved = abs_err / abs(total) if total != 0.0 else math.inf
-    pre = params.hbar**3 * params.c**4 / (math.pi**4 * params.mass * params.omega0)
-    value = -pre * total
-    if achieved > rel_tol:
-        raise ConvergenceError(
-            f"partial-analytic quadrature reached relative tolerance "
-            f"{achieved:.2e} (requested {rel_tol:.2e}) after {counter.n} "
-            "integrand evaluations",
-            best_estimate=value, achieved_rel_tol=achieved)
-    return value, achieved, counter.n
+    """(value, achieved tolerance, rule nodes) at each point
+    (params[i], xt1[i], xt2[i]).
+
+    Every point has a fine and a coarse rule in u; their difference plus
+    ROUNDOFF is the error estimate.  Consecutive points are evaluated
+    together in blocks of about BLOCK_NODES rule nodes; each point's rule
+    size is checked against the budget before its block is evaluated.
+    """
+    gauss = (_gauss(GL_FINE), _gauss(GL_COARSE))
+    points = list(zip(params, xt1, xt2))
+    results, block, sizes = [], [], []
+    for i, (p, a, b) in enumerate(points):
+        rules = [_u_rule(p.omega0, p.c, a, b, g) for g in gauss]
+        size = sum(u.size for u, _ in rules)
+        if size > budget:
+            raise ConvergenceError(
+                f"the partial-analytic rule needs {size} nodes, above its "
+                f"evaluation budget of {budget:.1e}", achieved_rel_tol=math.inf)
+        block.append((p, a, b, rules))
+        sizes.append(size)
+        if sum(sizes) < BLOCK_NODES and i + 1 < len(points):
+            continue
+        for (q, *_), size, (fine, coarse) in zip(block, sizes,
+                                                 _rule_sums(block, omega_m)):
+            achieved = (float(abs(fine - coarse) / fine) + ROUNDOFF
+                        if fine > 0.0 else math.inf)
+            pre = q.hbar**3 * q.c**4 / (math.pi**4 * q.mass * q.omega0)
+            value = float(-pre * fine)
+            if achieved > rel_tol:
+                raise ConvergenceError(
+                    f"partial-analytic rule reached relative tolerance "
+                    f"{achieved:.2e} (requested {rel_tol:.2e}) with {size} nodes",
+                    best_estimate=value, achieved_rel_tol=achieved)
+            results.append((value, achieved, size))
+        block, sizes = [], []
+    return results
 
 
 # ---------------------------------------------------------------------------
@@ -287,13 +447,7 @@ def _axis_edges(xt, k_max, k_struct, scale):
 
 def _axis_rule(xt, k_max, k_struct, scale, gl_order=6):
     """Panel Gauss-Legendre nodes/weights on the graded edges."""
-    xg, wg = leggauss(gl_order)
-    edges = _axis_edges(xt, k_max, k_struct, scale)
-    half = 0.5 * (edges[1:] - edges[:-1])
-    mid = 0.5 * (edges[1:] + edges[:-1])
-    nodes = (mid[:, None] + half[:, None] * xg[None, :]).ravel()
-    wts = (half[:, None] * wg[None, :]).ravel()
-    return nodes, wts
+    return _panel_rule(_axis_edges(xt, k_max, k_struct, scale), *_gauss(gl_order))
 
 
 def _pair_arrays(params, omega_m, xt, k, w):
@@ -362,6 +516,15 @@ def _full_quadrature(params, omega_m, xt1, xt2, rel_tol, budget):
         scale *= 1.5
 
 
+def _check_request(omega_m, rel_tol, budget):
+    if not 0 < omega_m < math.inf:
+        raise UsageError(f"omega_m must be positive and finite, got {omega_m}")
+    if not rel_tol > 0:
+        raise UsageError(f"rel_tol must be positive, got {rel_tol}")
+    if not budget > 0:
+        raise UsageError(f"budget must be positive, got {budget}")
+
+
 def continuum_correlation(params: PhysicalParams, omega_m: float,
                           xt1: float, xt2: float, rel_tol: float = 1e-6,
                           method: str = "partial_analytic",
@@ -375,26 +538,25 @@ def continuum_correlation(params: PhysicalParams, omega_m: float,
     xt1, xt2 : float
         Distances of the two points from the movable wall (> 0).
     rel_tol : float
-        Requested relative tolerance.  partial_analytic reaches about
-        2e-14 at best and raises ConvergenceError below what it reached.
+        Requested relative tolerance.  partial_analytic reports its rule
+        difference plus a roundoff floor of 32 eps (7.1e-15), so it
+        reaches about 7e-15 at best and raises ConvergenceError, with its
+        estimate, below what it reached.
     method : {'partial_analytic', 'full_quadrature'}
         Evaluation path; the two agree within their reported tolerances.
     budget : float
-        Cap on integrand evaluations (partial_analytic) or nominal tensor
-        summands (full_quadrature).  Passing it raises ConvergenceError:
-        partial_analytic stops at the first evaluation over the cap and
-        has no estimate; full_quadrature carries the best estimate.
+        Cap on the nodes of the fine and coarse rules in u
+        (partial_analytic, which reports them as neval) or on the nominal
+        tensor summands (full_quadrature).  Passing it raises
+        ConvergenceError: partial_analytic checks its rule sizes before
+        it evaluates anything and has no estimate; full_quadrature
+        carries the best estimate.
     """
     _check_distances(xt1, xt2)
-    if not 0 < omega_m < math.inf:
-        raise UsageError(f"omega_m must be positive and finite, got {omega_m}")
-    if not rel_tol > 0:
-        raise UsageError(f"rel_tol must be positive, got {rel_tol}")
-    if not budget > 0:
-        raise UsageError(f"budget must be positive, got {budget}")
+    _check_request(omega_m, rel_tol, budget)
     if method == "partial_analytic":
-        value, achieved, neval = _partial_analytic(params, omega_m, xt1, xt2,
-                                                   rel_tol, budget)
+        (value, achieved, neval), = _partial_analytic(
+            [params], omega_m, [xt1], [xt2], rel_tol, budget)
     elif method == "full_quadrature":
         value, achieved, neval = _full_quadrature(params, omega_m, xt1, xt2,
                                                   rel_tol, budget)
@@ -448,21 +610,25 @@ def scaling_probe(params: PhysicalParams, quantity: str, axis: str, points,
     if omega_m is None:
         omega_m = 1e3 * params.omega0
 
-    def evaluate(p):
+    def point(p):
+        """The parameters and the distance of one probe point."""
         if axis == "mass":
-            pars, x1 = params.with_mass(p), xt
-        elif axis == "omega0":
-            pars = PhysicalParams(params.mass, p, params.length, params.hbar, params.c)
-            x1 = xt
-        else:
-            pars, x1 = params, p
-        if quantity == "asymptotic":
-            return asymptotic_correlation(pars, x1, x1)
-        if quantity == "far_field":
-            return far_field_correlation(pars, x1, x1)
-        return continuum_correlation(pars, omega_m, x1, x1, rel_tol=rel_tol).value
+            return params.with_mass(p), xt
+        if axis == "omega0":
+            return PhysicalParams(params.mass, p, params.length, params.hbar,
+                                  params.c), xt
+        return params, p
 
-    values = np.array([evaluate(p) for p in pts])
+    pars, dist = zip(*(point(p) for p in pts))
+    if quantity == "continuum":
+        # the probe points are evaluated together (see _partial_analytic)
+        _check_request(omega_m, rel_tol, DEFAULT_BUDGET)
+        values = np.array([v for v, _, _ in _partial_analytic(
+            pars, omega_m, dist, dist, rel_tol, DEFAULT_BUDGET)])
+    else:
+        law = (asymptotic_correlation if quantity == "asymptotic"
+               else far_field_correlation)
+        values = np.array([law(q, x, x) for q, x in zip(pars, dist)])
     logs = np.log(np.abs(values))
     logp = np.log(pts)
     slopes = np.gradient(logs, logp)

@@ -28,6 +28,7 @@ from __future__ import annotations
 
 import enum
 import math
+import numbers
 import warnings
 from dataclasses import dataclass
 
@@ -204,7 +205,8 @@ def mode_count(params: PhysicalParams, cutoff: CutoffSpec,
     """Size of the mode set `ModeSet.build` makes, without building it.
 
     n_max when given, else the size the cutoff implies (see ModeSet.build).
-    Raises CapacityError above MAX_MODES.
+    Raises UsageError for an n_max that is not an integer and
+    CapacityError above MAX_MODES.
     """
     if n_max is None:
         w1 = params.omega1
@@ -213,6 +215,8 @@ def mode_count(params: PhysicalParams, cutoff: CutoffSpec,
         else:
             n_star = int(math.ceil(math.log(1.0 / EXP_TAIL_WEIGHT) * cutoff.omega_m / w1))
             n_max = 2 * max(n_star, 1)
+    elif not isinstance(n_max, numbers.Integral):
+        raise UsageError(f"n_max must be an integer, got {n_max!r}")
     if n_max > MAX_MODES:
         raise CapacityError(
             f"mode set of size {n_max} exceeds the limit {MAX_MODES}; "

@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 from numpy.lib.stride_tricks import sliding_window_view
+from scipy.integrate import quad
 
 from vacmirror import (CavityTag, ObservableProfile, PhysicalParams, UsageError,
                        coupling_matrix_element, model)
@@ -332,6 +333,41 @@ def direct_full_level(params, omega_m, xt1, xt2, k_max, k_struct, scale,
         cross += float((P1[lo:hi] * D1[lo:hi]) @ (Kb @ P2))
         cross += float(P1[lo:hi] @ (Kb @ P2D2))
     return t1 + cross, cost
+
+
+def nested_quad_continuum(params, omega_m, xt1, xt2, rel_tol=1e-10):
+    """The partial-analytic correlation by nested adaptive quadrature.
+
+    The defining integrals of the module docstring of `continuum`, each
+    by scipy's quad: A(xt) = int_0^inf dt e^(-w0 t) S(xt, b + c t)^2 at
+    offset b, T1 = A(xt1) A(xt2), and T2 (T3) as a quad in u over the
+    inner A(xt1) (A(xt2)) at offset c u.  Each outer quadrature asks for
+    rel_tol / 8, each inner one for a quarter of that, clamped at quad's
+    floor of 50 eps.
+    """
+    w0, c = params.omega0, params.c
+    floor = 50.0 * np.finfo(float).eps
+
+    def s2(x, a):
+        return (x / (x * x + a * a)) ** 2
+
+    def a_integral(xt, offset, eps):
+        base = offset + c / omega_m
+        return quad(lambda t: math.exp(-w0 * t) * s2(xt, base + c * t),
+                    0.0, np.inf, epsabs=0.0, epsrel=max(eps, floor), limit=400)[0]
+
+    def b_integral(xt_a, xt_b, eps):
+        def outer(u):
+            inner = a_integral(xt_a, c * u, eps / 4.0)
+            return s2(xt_b, c / omega_m + c * u) * inner
+        return quad(outer, 0.0, np.inf, epsabs=0.0, epsrel=max(eps, floor),
+                    limit=400)[0]
+
+    eps = rel_tol / 8.0
+    total = (a_integral(xt1, 0.0, eps) * a_integral(xt2, 0.0, eps)
+             + b_integral(xt1, xt2, eps) + b_integral(xt2, xt1, eps))
+    pre = params.hbar**3 * c**4 / (math.pi**4 * params.mass * w0)
+    return -pre * total
 
 
 def cutoff_weight(spec, freqs) -> float:

@@ -229,6 +229,36 @@ def test_rerun_meets_command_line_checks(tmp_path, capsys, argv, key, value,
     assert not (tmp_path / "c.csv").exists()
 
 
+@pytest.mark.parametrize("argv, key, value, message", [
+    (ORACLE, "lambdas", 0.05, "value list must be a string"),
+    (ES_SWEEP, "sweep_spec", None, "value list must be a string"),
+    (ES_SWEEP, "threads", "2", "threads must be an integer"),
+    (["energy-shift", "--cutoff", "exp:20", "--n-max", "5"], "n_max", "5",
+     "n_max must be an integer"),
+], ids=["lambdas-number", "sweep-spec-null", "threads-string", "n-max-string"])
+def test_rerun_rejects_wrong_json_types(tmp_path, argv, key, value, message):
+    # a sidecar value of the wrong JSON type is a parameter error (exit 2,
+    # one message line, no CSV) through the module entry point, not a
+    # traceback
+    first = tmp_path / "a.csv"
+    assert main(argv + ["-o", str(first)]) == 0
+    meta = json.loads(open(sidecar_path(str(first))).read())
+    meta[key] = value
+    edited = tmp_path / "edited.meta.json"
+    edited.write_text(json.dumps(meta))
+    proc = subprocess.run([sys.executable, "-m", "vacmirror.cli", "rerun",
+                           "--sidecar", str(edited), "-o", "b.csv"],
+                          cwd=tmp_path, env=dict(os.environ, PYTHONPATH=SRC),
+                          capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 2, proc.stderr
+    assert "Traceback" not in proc.stderr
+    lines = proc.stderr.splitlines()
+    assert [ln for ln in lines if ln.startswith("vacmirror:")] == lines[-1:]
+    assert lines[-1].startswith("vacmirror: parameter error:")
+    assert message in lines[-1]
+    assert not (tmp_path / "b.csv").exists()
+
+
 def test_sweeps_start_no_thread(tmp_path, monkeypatch):
     # sweeps run serially: --threads is validated and recorded, and
     # selects nothing
@@ -415,12 +445,17 @@ def test_cold_start_loads_no_scipy(tmp_path):
 
 
 def test_cold_start_scipy_commands_run(tmp_path):
-    # the continuum quadrature and the oracle load scipy on first use
-    loaded = _cold_python(
-        "from vacmirror import cli\n"
-        "assert cli.main(['continuum', '--omega-m', '12', '--xt1', '0.1', '--xt2', '0.08',"
-        " '--method', 'partial_analytic', '-o', 'c.csv']) == 0", tmp_path)
-    assert "scipy.integrate" in loaded
+    # the continuum paths and the oracle load scipy on first use; the
+    # closed-form partial_analytic path needs scipy.special (exp1) but no
+    # quadrature, and continuum scaling evaluates it the same way
+    for argv in ("['continuum', '--omega-m', '12', '--xt1', '0.1', '--xt2', '0.08',"
+                 " '--method', 'partial_analytic', '-o', 'c.csv']",
+                 "['scaling', '--quantity', 'continuum', '--axis', 'distance',"
+                 " '--points', '1,2,4', '-o', 'sc.csv']"):
+        loaded = _cold_python(
+            f"from vacmirror import cli\nassert cli.main({argv}) == 0", tmp_path)
+        assert "scipy.special" in loaded
+        assert "scipy.integrate" not in loaded
     loaded = _cold_python(
         "from vacmirror import cli\n"
         "assert cli.main(['oracle-validate', '--cavities', '2', '-o', 'o.csv']) == 0",
