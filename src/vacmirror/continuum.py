@@ -37,9 +37,7 @@ Two independent evaluation paths are provided and cross-validated:
   functions, evaluated by one fixed Gauss-Legendre rule on panels that
   double from below the smallest to far beyond the largest of the
   scales xt1/c, xt2/c and 1/w0; a coarser rule on the same panels gives
-  the error estimate.  This path works at any omega_m * xt / c, and it
-  evaluates the points of a scaling probe together, in vectorized blocks
-  of up to BLOCK_NODES rule nodes.
+  the error estimate.  This path works at any omega_m * xt / c.
 - 'full_quadrature': direct tensor-product Gauss-Legendre quadrature of
   the k integrals on axes truncated where the exponential damping makes
   the tail negligible, with half-wavelength panels and global panel
@@ -123,6 +121,8 @@ __all__ = [
 
 ASYMPTOTIC_REGIME_DISTANCE = 5.0   # in units of c/omega0
 DEFAULT_BUDGET = 1e8
+# full_quadrature: the Gauss-Legendre order on each panel of an axis
+GL_AXIS = 6
 # partial_analytic (see _u_rule, _cf, _a_closed): the orders of the fine
 # and coarse rules in u; the radius inside which e^w E1(w) is scipy's
 # exp1 and outside which it is the continued fraction; the fraction's
@@ -137,9 +137,6 @@ EXP1_RADIUS = 1.5
 CF_TERMS, CF_FAST_RADIUS = (120, 40), 6.0
 SERIES_RATIO, SERIES_TERMS = 2.0, 28
 ROUNDOFF = 32 * np.finfo(float).eps
-# rule nodes of the points evaluated in one vectorized call: a node holds
-# about 650 bytes of arrays, so a probe of any length peaks near 25 MiB
-BLOCK_NODES = 1 << 15
 
 
 @dataclass(frozen=True)
@@ -350,78 +347,45 @@ def _u_rule(w0, c, xt1, xt2, gauss):
     return np.concatenate((u, top / v)), np.concatenate((w, wv * top / v**2))
 
 
-def _rule_sums(block, omega_m):
-    """[fine, coarse] sums T1 + T2 + T3 of each point in one vectorized call.
-
-    block holds (params, xt1, xt2, rules) per point, rules = its fine and
-    coarse rules in u; the closed-form A and S^2 at all their nodes are
-    evaluated together.
-    """
-    # per point, both distances at u = 0 (for T1) and at every node
-    cols = []
-    for p, x1, x2, rules in block:
-        off = p.c / omega_m + p.c * np.concatenate([[0.0]] + [u for u, _ in rules])
-        n = off.size
-        cols.append((np.repeat([x1, x2], n), np.tile(off, 2),
-                     np.full(2 * n, p.omega0 / p.c), np.full(2 * n, p.c),
-                     np.repeat([x2, x1], n)))
-    x, off, kappa, c, other = (np.concatenate(col) for col in zip(*cols))
-    a = _a_closed(x, off, kappa, c)
-    f = a * _s2(other, off)
-
-    sums = []
-    start = 0
-    for *_, rules in block:
-        n = 1 + sum(u.size for u, _ in rules)
-        t1 = a[start] * a[start + n]
-        lo = start + 1
-        totals = []
-        for u, w in rules:
-            hi = lo + u.size
-            totals.append(t1 + np.dot(w, f[lo:hi]) + np.dot(w, f[lo + n:hi + n]))
-            lo = hi
-        sums.append(totals)
-        start += 2 * n
-    return sums
-
-
 def _partial_analytic(params, omega_m, xt1, xt2, rel_tol, budget):
-    """(value, achieved tolerance, rule nodes) at each point
-    (params[i], xt1[i], xt2[i]).
+    """(value, achieved tolerance, rule nodes) at one point.
 
-    Every point has a fine and a coarse rule in u; their difference plus
-    ROUNDOFF is the error estimate.  Consecutive points are evaluated
-    together in blocks of about BLOCK_NODES rule nodes; each point's rule
-    size is checked against the budget before its block is evaluated.
+    T1 + T2 + T3 is summed on a fine and a coarse rule in u; their
+    difference plus ROUNDOFF is the error estimate.  The rule sizes are
+    checked against the budget before any integrand is evaluated.
     """
-    gauss = (_gauss(GL_FINE), _gauss(GL_COARSE))
-    points = list(zip(params, xt1, xt2))
-    results, block, sizes = [], [], []
-    for i, (p, a, b) in enumerate(points):
-        rules = [_u_rule(p.omega0, p.c, a, b, g) for g in gauss]
-        size = sum(u.size for u, _ in rules)
-        if size > budget:
-            raise ConvergenceError(
-                f"the partial-analytic rule needs {size} nodes, above its "
-                f"evaluation budget of {budget:.1e}", achieved_rel_tol=math.inf)
-        block.append((p, a, b, rules))
-        sizes.append(size)
-        if sum(sizes) < BLOCK_NODES and i + 1 < len(points):
-            continue
-        for (q, *_), size, (fine, coarse) in zip(block, sizes,
-                                                 _rule_sums(block, omega_m)):
-            achieved = (float(abs(fine - coarse) / fine) + ROUNDOFF
-                        if fine > 0.0 else math.inf)
-            pre = q.hbar**3 * q.c**4 / (math.pi**4 * q.mass * q.omega0)
-            value = float(-pre * fine)
-            if achieved > rel_tol:
-                raise ConvergenceError(
-                    f"partial-analytic rule reached relative tolerance "
-                    f"{achieved:.2e} (requested {rel_tol:.2e}) with {size} nodes",
-                    best_estimate=value, achieved_rel_tol=achieved)
-            results.append((value, achieved, size))
-        block, sizes = [], []
-    return results
+    w0, c = params.omega0, params.c
+    rules = [_u_rule(w0, c, xt1, xt2, _gauss(g)) for g in (GL_FINE, GL_COARSE)]
+    size = sum(u.size for u, _ in rules)
+    if size > budget:
+        raise ConvergenceError(
+            f"the partial-analytic rule needs {size} nodes, above its "
+            f"evaluation budget of {budget:.1e}", achieved_rel_tol=math.inf)
+    # both distances at u = 0 (for T1) and at every node of both rules
+    off = c / omega_m + c * np.concatenate([[0.0]] + [u for u, _ in rules])
+    n = off.size
+    both = np.tile(off, 2)
+    a = _a_closed(np.repeat([xt1, xt2], n), both, np.full(2 * n, w0 / c),
+                  np.full(2 * n, c))
+    f = a * _s2(np.repeat([xt2, xt1], n), both)
+    t1 = a[0] * a[n]
+    lo = 1
+    sums = []
+    for u, w in rules:
+        hi = lo + u.size
+        sums.append(t1 + np.dot(w, f[lo:hi]) + np.dot(w, f[lo + n:hi + n]))
+        lo = hi
+    fine, coarse = sums
+    achieved = (float(abs(fine - coarse) / fine) + ROUNDOFF
+                if fine > 0.0 else math.inf)
+    pre = params.hbar**3 * c**4 / (math.pi**4 * params.mass * w0)
+    value = float(-pre * fine)
+    if achieved > rel_tol:
+        raise ConvergenceError(
+            f"partial-analytic rule reached relative tolerance "
+            f"{achieved:.2e} (requested {rel_tol:.2e}) with {size} nodes",
+            best_estimate=value, achieved_rel_tol=achieved)
+    return value, achieved, size
 
 
 # ---------------------------------------------------------------------------
@@ -445,9 +409,9 @@ def _axis_edges(xt, k_max, k_struct, scale):
     return np.asarray(edges)
 
 
-def _axis_rule(xt, k_max, k_struct, scale, gl_order=6):
+def _axis_rule(xt, k_max, k_struct, scale):
     """Panel Gauss-Legendre nodes/weights on the graded edges."""
-    return _panel_rule(_axis_edges(xt, k_max, k_struct, scale), *_gauss(gl_order))
+    return _panel_rule(_axis_edges(xt, k_max, k_struct, scale), *_gauss(GL_AXIS))
 
 
 def _pair_arrays(params, omega_m, xt, k, w):
@@ -554,15 +518,13 @@ def continuum_correlation(params: PhysicalParams, omega_m: float,
     """
     _check_distances(xt1, xt2)
     _check_request(omega_m, rel_tol, budget)
-    if method == "partial_analytic":
-        (value, achieved, neval), = _partial_analytic(
-            [params], omega_m, [xt1], [xt2], rel_tol, budget)
-    elif method == "full_quadrature":
-        value, achieved, neval = _full_quadrature(params, omega_m, xt1, xt2,
-                                                  rel_tol, budget)
-    else:
+    paths = {"partial_analytic": _partial_analytic,
+             "full_quadrature": _full_quadrature}
+    if method not in paths:
         raise UsageError(
             f"method must be 'partial_analytic' or 'full_quadrature', got {method!r}")
+    value, achieved, neval = paths[method](params, omega_m, xt1, xt2,
+                                           rel_tol, budget)
     return ContinuumPoint(xt1=xt1, xt2=xt2, value=value, rel_tol=achieved,
                           method=method, neval=int(neval))
 
@@ -619,16 +581,13 @@ def scaling_probe(params: PhysicalParams, quantity: str, axis: str, points,
                                   params.c), xt
         return params, p
 
-    pars, dist = zip(*(point(p) for p in pts))
     if quantity == "continuum":
-        # the probe points are evaluated together (see _partial_analytic)
-        _check_request(omega_m, rel_tol, DEFAULT_BUDGET)
-        values = np.array([v for v, _, _ in _partial_analytic(
-            pars, omega_m, dist, dist, rel_tol, DEFAULT_BUDGET)])
+        def law(q, x1, x2):
+            return continuum_correlation(q, omega_m, x1, x2, rel_tol).value
     else:
         law = (asymptotic_correlation if quantity == "asymptotic"
                else far_field_correlation)
-        values = np.array([law(q, x, x) for q, x in zip(pars, dist)])
+    values = np.array([law(q, x, x) for q, x in map(point, pts)])
     logs = np.log(np.abs(values))
     logp = np.log(pts)
     slopes = np.gradient(logs, logp)

@@ -188,9 +188,10 @@ class ModeSet:
               n_max: int | None = None) -> "ModeSet":
         """Mode set implied by the cutoff, or of explicit size n_max.
 
-        Sharp: N = floor(omega_m L / (pi c)) (per-mode truncation).
-        Exponential: N sized so the per-mode tail weight exp(-w_N/omega_m)
-        drops below EXP_TAIL_WEIGHT, then doubled once as a guard.
+        Sharp: N = floor(omega_m L / (pi c)) (per-mode truncation; it also
+        caps an explicit n_max).  Exponential: N sized so the per-mode
+        tail weight exp(-w_N/omega_m) drops below EXP_TAIL_WEIGHT, then
+        doubled once as a guard.
         """
         n = np.arange(1, mode_count(params, cutoff, n_max) + 1, dtype=np.int64)
         k = n * (np.pi / params.length)
@@ -204,9 +205,10 @@ def mode_count(params: PhysicalParams, cutoff: CutoffSpec,
                n_max: int | None = None) -> int:
     """Size of the mode set `ModeSet.build` makes, without building it.
 
-    n_max when given, else the size the cutoff implies (see ModeSet.build).
-    Raises UsageError for an n_max that is not an integer and
-    CapacityError above MAX_MODES.
+    n_max when given, else the size the cutoff implies (see ModeSet.build);
+    a sharp per-mode cutoff then drops the modes above omega_m.  Raises
+    UsageError for an n_max that is not an integer and CapacityError above
+    MAX_MODES.
     """
     if n_max is None:
         w1 = params.omega1
@@ -221,6 +223,15 @@ def mode_count(params: PhysicalParams, cutoff: CutoffSpec,
         raise CapacityError(
             f"mode set of size {n_max} exceeds the limit {MAX_MODES}; "
             "lower omega_m or pass an explicit n_max")
+    if cutoff.kind == "sharp" and cutoff.sharp_rule == "per_mode":
+        # the last k with w_k <= omega_m, w_k rounded as ModeSet.build does
+        step = math.pi / params.length
+        k = min(n_max, int(cutoff.omega_m / params.omega1))
+        while k < n_max and params.c * ((k + 1) * step) <= cutoff.omega_m:
+            k += 1
+        while k > 0 and params.c * (k * step) > cutoff.omega_m:
+            k -= 1
+        n_max = k
     return n_max
 
 
@@ -253,7 +264,7 @@ def mode_tables(params: PhysicalParams, cutoff: CutoffSpec, n_max: int | None = 
     The spectrum is equally spaced, w_k = k omega1, so a mode pair (j, k)
     enters every denominator 1/(omega0 + w_j + w_k) through its index sum
     s = j + k only.  A sharp per-mode cutoff also caps an explicit n_max:
-    modes above omega_m are dropped.
+    modes above omega_m are dropped (see mode_count).
 
     Returns (modes, damp, g, W, h).  Position s - 2 of the 1-D tables, for
     s = 2 .. 2N, holds the pair frequency W = s omega1, the denominator
@@ -264,9 +275,6 @@ def mode_tables(params: PhysicalParams, cutoff: CutoffSpec, n_max: int | None = 
     """
     cutoff.check_scale(params)
     modes = ModeSet.build(params, cutoff, n_max)
-    if cutoff.kind == "sharp" and cutoff.sharp_rule == "per_mode":
-        n = int(np.count_nonzero(modes.frequencies <= cutoff.omega_m))
-        modes = ModeSet(modes.indices[:n], modes.wavenumbers[:n], modes.frequencies[:n])
     if len(modes) == 0:
         raise DegenerateModeSetError(
             f"cutoff omega_m = {cutoff.omega_m:g} leaves no mode to sum over "

@@ -16,8 +16,8 @@ diagonal in the per-cavity photon parities: 2 sectors for one cavity, 4
 for two.  `ground_state` solves each sector block on its own and keeps
 the lowest of the sector minima, which is the lowest eigenpair of the
 whole truncated model (at strong coupling it can lie in an odd sector).
-The blocks are solved densely when the full dimension is at most
-DENSE_SOLVE_LIMIT and by Lanczos above it.
+A block is solved densely when its dimension is at most DENSE_SOLVE_LIMIT
+and by Lanczos above it.
 
 The coupling is rank one (Law, PRA 51, 2537 (1995)): C_kj = u_k u_j with
 u_k = (-1)^k sqrt(C_kk).  With Q = sum_k u_k (a_k + a_k^dag) the pair sum
@@ -33,9 +33,10 @@ commutator [a, a^dag]_trunc = diag(1, ..., 1, -n_cap), so
 
     :Q^2: = Q^2 - sum_k u_k^2 [a_k, a_k^dag]_trunc
 
-holds exactly on the truncated ladders.  V is one kron of the mirror
-quadrature with this photon factor; Q, the commutator sum and the field
-operators are all single-mode ladder sums on that factor.
+holds exactly on the truncated ladders.  V is the mirror quadrature times
+this photon factor; Q, the commutator sum and the field operators are
+all sums of single-mode ladders, each built on the full basis straight
+from the occupation table.
 
 Caveat for strong coupling: the model is only metastable.  At mirror
 displacement xi = <b + b^dag> beyond 1/(2 lambda N) (N field modes with
@@ -69,11 +70,11 @@ __all__ = [
     "converged_ground_energy",
 ]
 
-# Full basis dimension up to which each sector block is solved by dense
-# eigh; above it, by Lanczos.  Keyed on the full dimension, not the sector
-# dimension: at dim 7776 four dense blocks of 1944 take about 4 s, one
-# Lanczos pass over the four sectors 0.06 s.
-DENSE_SOLVE_LIMIT = 5_000
+# Sector block dimension up to which a block is solved by dense eigh;
+# above it, by Lanczos.  With one BLAS thread the two cross near 300:
+# dense takes 1.6 ms at 175 and 8 ms at 369 against Lanczos's 4 and 6 ms,
+# and 70 ms at 845 against 9 ms.
+DENSE_SOLVE_LIMIT = 400
 
 
 @dataclass(frozen=True)
@@ -133,26 +134,29 @@ class OracleResult:
     dim: int
 
 
-def _ladder(n: int) -> sp.csr_matrix:
-    import scipy.sparse as sp
-    return sp.diags(np.sqrt(np.arange(1, n)), 1).tocsr()
+def _lowering(occ, dims, i) -> sp.csr_matrix:
+    """a_i on the full basis with occupation table occ and tensor sizes dims.
 
-
-def _ladder_sum(dims, coeffs, op) -> sp.csr_matrix:
-    """sum_i coeffs[i] op(a_i) on the photon factor with tensor sizes dims.
-
-    a_i is the ladder of photon mode i; modes with a zero coefficient
-    are skipped.
+    a_i |n> = sqrt(n_i) |n - e_i>, and |n - e_i> sits prod(dims[i+1:])
+    rows above |n>; a column with n_i = 0 stays empty.
     """
     import scipy.sparse as sp
-    size = math.prod(dims)
-    out = sp.csr_matrix((size, size))
+    stride = math.prod(dims[i + 1:])
+    return sp.diags(np.sqrt(occ[stride:, i]), stride, shape=(len(occ),) * 2,
+                    format="csr")
+
+
+def _ladder_sum(occ, dims, coeffs, op) -> sp.csr_matrix:
+    """sum_i coeffs[i] op(a) over photon modes i, a their lowering operator.
+
+    Photon mode i is subsystem i + 1 of the occupation table (the mirror
+    is subsystem 0); modes with a zero coefficient are skipped.
+    """
+    import scipy.sparse as sp
+    out = sp.csr_matrix((len(occ),) * 2)
     for i, c in enumerate(coeffs):
         if c != 0.0:
-            local = op(_ladder(dims[i]))
-            term = sp.kron(sp.identity(math.prod(dims[:i])), local)
-            out = out + c * sp.kron(term, sp.identity(math.prod(dims[i + 1:])),
-                                    format="csr")
+            out = out + c * op(_lowering(occ, dims, i + 1))
     return out
 
 
@@ -188,19 +192,18 @@ def build_hamiltonian(params: PhysicalParams, truncation: TruncationSpec,
     for c_idx in range(n_fields):
         h0 = h0 + params.hbar * w[c_idx % m] * occ[:, 1 + c_idx]
 
-    # V = -(b + b^dag) x sum_cav sigma_cav (Q_cav^2 - sum_k u_k^2 [a_k, a_k^dag])
+    # V = -(b + b^dag) sum_cav sigma_cav (Q_cav^2 - sum_k u_k^2 [a_k, a_k^dag])
     u = np.array([(-1.0) ** k * math.sqrt(coupling_matrix_element(params, k, k))
                   for k in range(1, m + 1)])
-    photon_dims = dims[1:]
-    photon = sp.csr_matrix((math.prod(photon_dims),) * 2)
+    photon = sp.csr_matrix((dim, dim))
     for cav, sigma in enumerate((1.0,) if cavities == "one" else (1.0, -1.0)):
         coeffs = np.zeros(n_fields)
         coeffs[cav * m:(cav + 1) * m] = u
-        q = _ladder_sum(photon_dims, coeffs, lambda a: a + a.T)
-        comm = _ladder_sum(photon_dims, coeffs**2, lambda a: a @ a.T - a.T @ a)
+        q = _ladder_sum(occ, dims, coeffs, lambda a: a + a.T)
+        comm = _ladder_sum(occ, dims, coeffs**2, lambda a: a @ a.T - a.T @ a)
         photon = photon + sigma * (q @ q - comm)
-    x_mirror = _ladder(dims[0]) + _ladder(dims[0]).T
-    v = sp.kron(x_mirror, -coupling_scale * photon, format="csr")
+    b = _lowering(occ, dims, 0)
+    v = ((b + b.T) @ (-coupling_scale * photon)).tocsr()
     v.eliminate_zeros()
 
     return OracleModel(params=params, truncation=truncation, cavities=cavities,
@@ -228,7 +231,7 @@ def ground_state(model: OracleModel, solver_tol: float = 1e-12) -> OracleResult:
 
     H is block diagonal in the per-cavity photon parities (2 sectors for
     one cavity, 4 for two).  Each sector block gets its lowest eigenpair,
-    dense when the full dimension is at most DENSE_SOLVE_LIMIT and by
+    dense when the block's dimension is at most DENSE_SOLVE_LIMIT and by
     Lanczos above it; the result is the lowest of the sector minima (the
     lower sector key on ties, minima within 1e-12 max|H| counting as
     tied), embedded in the full basis with zeros in
@@ -246,7 +249,7 @@ def ground_state(model: OracleModel, solver_tol: float = 1e-12) -> OracleResult:
     best = None
     for idx in _parity_sectors(model):
         block = H[idx][:, idx]
-        if dim <= DENSE_SOLVE_LIMIT:
+        if idx.size <= DENSE_SOLVE_LIMIT:
             evals, evecs = eigh(block.toarray(), subset_by_index=[0, 0])
         else:
             # a fixed random start: ARPACK's own changes from call to call,
@@ -279,7 +282,6 @@ def _field_operator(model: OracleModel, cavity: CavityTag, x: float,
     the Hermitian part D of the time derivative, phi_dot = -i D; the i is
     applied when squaring.
     """
-    import scipy.sparse as sp
     p = model.params
     L = p.length
     lo, hi = cavity.span(p)
@@ -301,8 +303,7 @@ def _field_operator(model: OracleModel, cavity: CavityTag, x: float,
     coeffs = np.zeros(len(model.dims) - 1)
     coeffs[offset:offset + m] = sign * math.sqrt(p.hbar * p.c**2 / L) * per_mode
     op = (lambda a: a - a.T) if kind == "dot" else (lambda a: a + a.T)
-    photon = _ladder_sum(model.dims[1:], coeffs, op)
-    return sp.kron(sp.identity(model.dims[0]), photon, format="csr")
+    return _ladder_sum(model.occupations, model.dims, coeffs, op)
 
 
 def _vacuum_vector(model: OracleModel) -> np.ndarray:

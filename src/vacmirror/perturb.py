@@ -157,9 +157,6 @@ def dressed_amplitudes(params: PhysicalParams, cutoff: CutoffSpec,
     PAIR_TABLE_LIMIT bytes.
     """
     n = mode_count(params, cutoff, n_max)
-    if cutoff.kind == "sharp" and cutoff.sharp_rule == "per_mode":
-        # mode_tables drops the modes above omega_m
-        n = min(n, int(cutoff.omega_m / params.omega1) + 1)
     need = PAIR_BYTES * (n * (n + 1) // 2)
     if need > PAIR_TABLE_LIMIT:
         raise CapacityError(

@@ -444,6 +444,17 @@ def two_cavity_coupling(params, cavity, k, j):
     raise UsageError("two_cavity_coupling needs cavity LEFT or RIGHT, not SINGLE")
 
 
+def kron_lowering(dims, site):
+    """The lowering operator of tensor factor `site`, embedded by Kronecker
+    products with identities in the full space of factor sizes dims."""
+    mats = [sp.identity(d, format="csr") for d in dims]
+    mats[site] = sp.diags(np.sqrt(np.arange(1, dims[site])), 1, format="csr")
+    out = mats[0]
+    for m in mats[1:]:
+        out = sp.kron(out, m, format="csr")
+    return out
+
+
 def pairwise_interaction(params, truncation, cavities, coupling_scale=1.0):
     """Oracle interaction V assembled mode pair by mode pair.
 
@@ -451,25 +462,14 @@ def pairwise_interaction(params, truncation, cavities, coupling_scale=1.0):
     -C_kj (b + b^dag)(a_k a_j + a_k^dag a_j^dag + a_j^dag a_k + a_k^dag a_j),
     with every ladder embedded in the full tensor space (mirror first).
     """
-    def _ladder(n):
-        return sp.diags(np.sqrt(np.arange(1, n)), 1).tocsr()
-
-    def _embed(op, site, dims):
-        mats = [sp.identity(d, format="csr") for d in dims]
-        mats[site] = op.tocsr()
-        out = mats[0]
-        for m in mats[1:]:
-            out = sp.kron(out, m, format="csr")
-        return out
-
     m = truncation.modes_per_cavity
     n_fields = m if cavities == "one" else 2 * m
     dims = (truncation.max_mirror_quanta + 1,) + (truncation.max_photons_per_mode + 1,) * n_fields
     full_dim = int(np.prod(dims))
 
-    b = _embed(_ladder(dims[0]), 0, dims)
+    b = kron_lowering(dims, 0)
     x_mirror = b + b.T
-    ladders = [_embed(_ladder(dims[1 + i]), 1 + i, dims) for i in range(n_fields)]
+    ladders = [kron_lowering(dims, 1 + i) for i in range(n_fields)]
 
     v = sp.csr_matrix((full_dim, full_dim))
     blocks = [(0, CavityTag.LEFT)] if cavities == "one" else \
@@ -483,6 +483,32 @@ def pairwise_interaction(params, truncation, cavities, coupling_scale=1.0):
                 pair = ak @ aj + ak.T @ aj.T + aj.T @ ak + ak.T @ aj
                 v = v - (coupling_scale * ckj) * (x_mirror @ pair)
     return v.tocsr()
+
+
+def kron_field_operator(model, cavity, x, kind):
+    """Oracle field operator summed mode by mode from Kronecker-embedded ladders.
+
+    Mode k of the cavity contributes sqrt(hbar c^2 / L) f_k(x) (a_k + a_k^dag),
+    with f_k = sin(k pi x / L) / sqrt(w_k) for 'phi' and its x-derivative
+    for 'grad'; 'dot' takes sin(k pi x / L) sqrt(w_k) (a_k - a_k^dag), the
+    Hermitian part of the time derivative.  The right cavity's modes come
+    after the left's and carry an overall minus sign.
+    """
+    p = model.params
+    m = model.truncation.modes_per_cavity
+    first = 1 + (m if cavity is CavityTag.RIGHT else 0)
+    sign = -1.0 if cavity is CavityTag.RIGHT else 1.0
+    out = sp.csr_matrix((model.dim, model.dim))
+    for k in range(1, m + 1):
+        wk = k * math.pi * p.c / p.length
+        arg = k * math.pi * x / p.length
+        f = {"phi": math.sin(arg) / math.sqrt(wk),
+             "grad": k * math.pi / p.length * math.cos(arg) / math.sqrt(wk),
+             "dot": math.sin(arg) * math.sqrt(wk)}[kind]
+        a = kron_lowering(model.dims, first + k - 1)
+        op = a - a.T if kind == "dot" else a + a.T
+        out = out + sign * math.sqrt(p.hbar * p.c**2 / p.length) * f * op
+    return out
 
 
 def dense_ground_state(model):

@@ -414,8 +414,7 @@ def test_partial_analytic_matches_nested_quad(omega0, c, wm, xt1, xt2):
                                           ("omega0", [0.5, 1.0, 2.0]),
                                           ("distance", [0.2, 3.0, 40.0])])
 def test_scaling_probe_matches_single_points(axis, points):
-    # one vectorized evaluation of every probe point gives the values of
-    # one continuum_correlation call per point
+    # the probe's values are those of continuum_correlation at each point
     p = PhysicalParams(mass=1.5, omega0=1.2, length=1.0, hbar=0.9, c=1.1)
     probes = scaling_probe(p, "continuum", axis, points, xt=0.7, omega_m=50.0,
                            rel_tol=1e-10)
@@ -431,19 +430,29 @@ def test_scaling_probe_matches_single_points(axis, points):
         assert abs(probe.value - single) <= 1e-15 * abs(single)
 
 
-def test_long_scaling_probe_memory_bound(monkeypatch):
-    # the probe's points are evaluated in blocks of BLOCK_NODES rule
-    # nodes: a long probe stays within a block's arrays, and the blocks
-    # give the values of one call per point
+def test_scaling_probe_calls_continuum_once_per_point(monkeypatch):
+    # every probe point goes through continuum_correlation, so whatever
+    # counts its evaluations (a traced neval) sees the probe's nodes too
+    p = PhysicalParams(mass=1.0, omega0=1.0, length=1.0)
+    calls = []
+    single = continuum.continuum_correlation
+    monkeypatch.setattr(continuum, "continuum_correlation",
+                        lambda *a, **k: calls.append(a) or single(*a, **k))
+    probes = scaling_probe(p, "continuum", "distance", [0.5, 1.0, 2.0, 4.0],
+                           omega_m=20.0)
+    assert [a[2:4] for a in calls] == [(x, x) for x in (0.5, 1.0, 2.0, 4.0)]
+    assert [probe.value for probe in probes] == [
+        single(p, 20.0, x, x).value for x in (0.5, 1.0, 2.0, 4.0)]
+
+
+def test_long_scaling_probe_memory_bound():
+    # a long probe holds the arrays of one point at a time
     p = PhysicalParams(mass=1.0, omega0=1.0, length=1.0)
     points = np.geomspace(0.05, 40.0, 120)
     tracemalloc.start()
     try:
-        probes = scaling_probe(p, "continuum", "distance", points)
+        scaling_probe(p, "continuum", "distance", points)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     assert peak < 40 * 2**20
-    monkeypatch.setattr(continuum, "BLOCK_NODES", 1)
-    for a, b in zip(probes, scaling_probe(p, "continuum", "distance", points)):
-        assert abs(a.value - b.value) <= 1e-15 * abs(b.value)

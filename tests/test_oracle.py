@@ -5,13 +5,14 @@ import numpy as np
 import pytest
 
 import vacmirror.oracle as oracle
-from vacmirror import (CapacityError, CutoffSpec, PhysicalParams,
+from vacmirror import (CapacityError, CavityTag, CutoffSpec, PhysicalParams,
                        TruncationSpec, UsageError, build_hamiltonian,
                        coupling_matrix_element, delta_energy_density,
                        energy_shift, expectation, ground_state,
                        perturbative_state, squared_field_correlation_discrete)
 
-from conftest import dense_ground_state, pairwise_interaction, params_for_lambda
+from conftest import (dense_ground_state, kron_field_operator,
+                      pairwise_interaction, params_for_lambda)
 
 
 def small_trunc(modes=2, nph=4, nmir=3):
@@ -130,6 +131,23 @@ def test_interaction_matches_pairwise_assembly(spec, cavities):
     assert abs(v - ref).max() <= 1e-14 * abs(ref).max()
 
 
+@pytest.mark.parametrize("spec, cavities, x, tag", [
+    ((3, 3, 2), "one", 0.41, CavityTag.SINGLE),
+    ((2, 3, 2), "two", 0.41, CavityTag.LEFT),
+    ((2, 3, 2), "two", 1.83, CavityTag.RIGHT)])
+@pytest.mark.parametrize("kind", ["phi", "grad", "dot"])
+def test_field_operator_matches_kron_assembly(spec, cavities, x, tag, kind):
+    # the full-basis ladders from the occupation table against ladders
+    # embedded by Kronecker products with identities
+    p = PhysicalParams(mass=3.0, omega0=0.8, length=1.3, hbar=1.7, c=1.25)
+    model = build_hamiltonian(p, TruncationSpec(*spec), cavities)
+    got = oracle._field_operator(model, tag, x * p.length, kind)
+    ref = kron_field_operator(model, tag, x * p.length, kind)
+    assert got.shape == ref.shape == (model.dim, model.dim)
+    assert ref.nnz > 0
+    assert abs(got - ref).max() <= 1e-14 * abs(ref).max()
+
+
 def test_capacity_error_before_allocation(params_weak):
     # 7^7 = 823543 states: the dimension is checked before any array exists
     tracemalloc.start()
@@ -191,9 +209,26 @@ def test_ground_state_keeps_lower_key_on_degenerate_sectors(monkeypatch):
     assert np.abs(res.vector[sectors[1]]).max() > 0.1
     assert np.abs(res.vector[outside]).max() == 0.0
 
+
+def test_large_sectors_use_lanczos(monkeypatch):
+    # dim 3125 splits into sector blocks of 720-845, all above
+    # DENSE_SOLVE_LIMIT: none goes to the dense eigh
+    import scipy.linalg
+
+    def no_dense(*args, **kwargs):
+        pytest.fail("dense eigh called")
+
+    model = build_hamiltonian(params_for_lambda(0.025), TruncationSpec(2, 4, 4), "two")
+    sizes = [idx.size for idx in oracle._parity_sectors(model)]
+    assert model.dim == 3125 and min(sizes) > oracle.DENSE_SOLVE_LIMIT
+    monkeypatch.setattr(scipy.linalg, "eigh", no_dense)
+    assert ground_state(model).residual_norm <= 1e-9
+
+
 def test_ground_state_memory_bound():
-    # one dense solve of the full dim-3125 basis peaks at 150 MiB; the
-    # largest sector block (dim 845) needs about 12 MiB
+    # one dense solve of the full dim-3125 basis peaks at 150 MiB; dense
+    # solves of its sector blocks (up to dim 845) about 12 MiB, Lanczos
+    # solves of them about 1.3 MiB
     model = build_hamiltonian(params_for_lambda(0.025), TruncationSpec(2, 4, 4), "two")
     tracemalloc.start()
     try:

@@ -3,6 +3,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+import vacmirror.perturb as perturb
 from vacmirror import (CapacityError, CutoffSpec, DegenerateModeSetError,
                        PhysicalParams, UsageError, dressed_amplitudes,
                        energy_shift, photon_spectrum)
@@ -189,3 +190,13 @@ def test_pair_table_capacity_checked_before_allocation():
     # a sharp cutoff caps an explicit n_max before the estimate
     amps = dressed_amplitudes(p, CutoffSpec.sharp(5.5 * np.pi), n_max=100_000)
     assert len(amps.pairs) == 15
+
+
+def test_pair_table_capacity_counts_the_kept_modes(monkeypatch):
+    # sharp 5.5 omega1 keeps modes 1..5: 15 pairs fit a 15-pair limit
+    monkeypatch.setattr(perturb, "PAIR_TABLE_LIMIT", 15 * perturb.PAIR_BYTES)
+    p = PhysicalParams(mass=1.0, omega0=1.0, length=1.0)
+    amps = dressed_amplitudes(p, CutoffSpec.sharp(5.5 * np.pi), n_max=100)
+    assert len(amps.pairs) == 15
+    with pytest.raises(CapacityError, match="6 modes"):
+        dressed_amplitudes(p, CutoffSpec.sharp(6.5 * np.pi), n_max=100)
