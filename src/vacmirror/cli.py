@@ -3,10 +3,12 @@
 Each run writes one CSV data file (a '#'-prefixed provenance block with
 the full configuration, a header row, then one record per grid point)
 and a flat JSON sidecar (same configuration keys plus library version,
-wall-clock time and convergence diagnostics).  Identical configurations
-produce byte-identical CSV files; `vacmirror rerun` rebuilds the CSV from
-a sidecar alone.  build_config only translates options (it checks --cutoff,
-where it enters); every other value is checked where the run uses it, in
+wall-clock time and convergence diagnostics).  The computations return
+their records as a columnar Table, which write_outputs streams in blocks
+of BLOCK_ROWS rows.  Identical configurations produce byte-identical CSV
+files; `vacmirror rerun` rebuilds the CSV from a sidecar alone.
+build_config only translates options (it checks --cutoff, where it
+enters); every other value is checked where the run uses it, in
 compute_rows or a _compute_* function, so a rerun meets the checks and
 exit codes of a command line.  A sweep evaluates its points in order in
 the calling thread; `--threads` is accepted for compatibility and
@@ -45,6 +47,9 @@ SI_C = 2.99792458e8
 # configuration keys that may be swept and coerced to float
 SWEEPABLE = {"mass", "omega0", "length", "cutoff_omega_m", "xt1", "xt2",
              "bin_width", "rel_tol"}
+
+# rows per block of CSV output: each block is formatted and written at once
+BLOCK_ROWS = 8192
 
 
 def _parse_cutoff(text: str) -> tuple[str, float]:
@@ -270,14 +275,39 @@ def _grid_from(cfg, key):
 
 
 # ---------------------------------------------------------------------------
-# per-command computations: return (header, rows, diagnostics)
+# per-command computations: return (header, table, diagnostics)
 # ---------------------------------------------------------------------------
+
+class Table:
+    """CSV records held as columns of equal length: float64 arrays, or
+    sequences of any values.  len() is the row count; iterating yields
+    the rows as tuples."""
+
+    def __init__(self, columns):
+        self.columns = list(columns)
+
+    def __len__(self):
+        return len(self.columns[0]) if self.columns else 0
+
+    def __iter__(self):
+        return zip(*self.columns)
+
+
+def _is_float64(column) -> bool:
+    """Whether the writer formats a column as float64 bit patterns."""
+    return isinstance(column, np.ndarray) and column.dtype == np.float64
+
+
+def _const(n, *values):
+    """One column per value, each value repeated n times."""
+    return [[v] * n for v in values]
+
 
 def _compute_energy_shift(cfg):
     params = _params_from(cfg)
     value = energy_shift(params, _cutoff_from(cfg), cfg["n_max"])
     return (["value", "method", "achieved_rel_tol"],
-            [[value, "discrete-sum", ""]],
+            Table([[value], ["discrete-sum"], [""]]),
             {"n_values": 1})
 
 
@@ -285,12 +315,11 @@ def _compute_spectrum(cfg):
     params = _params_from(cfg)
     spec = photon_spectrum(params, _cutoff_from(cfg), cfg["n_max"],
                            cfg["bin_width"])
-    rows = [[float(lo), float(hi), 0.5 * float(lo + hi), float(w),
-             "discrete-sum", ""]
-            for lo, hi, w in zip(spec.bin_edges[:-1], spec.bin_edges[1:],
-                                 spec.weights)]
+    lo, hi = spec.bin_edges[:-1], spec.bin_edges[1:]
+    table = Table([lo, hi, 0.5 * (lo + hi), spec.weights,
+                   *_const(len(lo), "discrete-sum", "")])
     return (["bin_lo", "bin_hi", "bin_center", "weight", "method",
-             "achieved_rel_tol"], rows,
+             "achieved_rel_tol"], table,
             {"peak_frequency": spec.peak_frequency,
              "total_weight": spec.total_weight})
 
@@ -306,11 +335,10 @@ def _compute_profile(cfg):
         prof = em_field_fluctuations(params, cutoff, grid,
                                      component=cfg["component"],
                                      n_max=cfg["n_max"], origin=cfg["origin"])
-    rows = [[float(x), float(xm), float(v), "discrete-sum", ""]
-            for x, xm, v in zip(prof.grid_cavity, prof.grid_from_movable_wall,
-                                prof.values)]
+    table = Table([prof.grid_cavity, prof.grid_from_movable_wall, prof.values,
+                   *_const(len(prof.values), "discrete-sum", "")])
     return (["x", "x_from_movable_wall", "value", "method", "achieved_rel_tol"],
-            rows, {"n_modes": prof.n_modes, "kernel_nodes": prof.kernel_nodes})
+            table, {"n_modes": prof.n_modes, "kernel_nodes": prof.kernel_nodes})
 
 
 def _compute_correlation(cfg):
@@ -324,21 +352,21 @@ def _compute_correlation(cfg):
                 "the closed form assumes omega_m -> infinity")
         value = asymptotic_correlation(params, cfg["xt1"], cfg["xt2"])
         return (["xt1", "xt2", "value", "method", "achieved_rel_tol"],
-                [[cfg["xt1"], cfg["xt2"], value, "asymptotic", ""]],
+                Table([[cfg["xt1"]], [cfg["xt2"]], [value], ["asymptotic"],
+                       [""]]),
                 {})
     cutoff = _cutoff_from(cfg)
     x1 = _grid_from(cfg, "x1_grid")
     x2 = _grid_from(cfg, "x2_grid")
     grid = squared_field_correlation_discrete(
         params, cutoff, x1, x2, cfg["n_max"], negativity=cfg["negativity"])
-    rows = []
-    for i, a in enumerate(grid.x1_grid):
-        for j, b in enumerate(grid.x2_grid):
-            rows.append([float(a), float(b), float(grid.xt1_grid[i]),
-                         float(grid.xt2_grid[j]), float(grid.values[i, j]),
-                         "discrete-sum", ""])
+    # rows run over x1 outer, x2 inner
+    n1, n2 = grid.values.shape
+    table = Table([np.repeat(grid.x1_grid, n2), np.tile(grid.x2_grid, n1),
+                   np.repeat(grid.xt1_grid, n2), np.tile(grid.xt2_grid, n1),
+                   grid.values.ravel(), *_const(n1 * n2, "discrete-sum", "")])
     return (["x1", "x2", "xt1", "xt2", "value", "method", "achieved_rel_tol"],
-            rows, {"n_modes": grid.n_modes, "kernel_nodes": grid.kernel_nodes})
+            table, {"n_modes": grid.n_modes, "kernel_nodes": grid.kernel_nodes})
 
 
 def _compute_continuum(cfg):
@@ -347,7 +375,8 @@ def _compute_continuum(cfg):
                                rel_tol=cfg["rel_tol"], method=cfg["method"],
                                budget=cfg["budget"])
     return (["xt1", "xt2", "value", "method", "achieved_rel_tol", "neval"],
-            [[pt.xt1, pt.xt2, pt.value, pt.method, pt.rel_tol, pt.neval]],
+            Table([[pt.xt1], [pt.xt2], [pt.value], [pt.method], [pt.rel_tol],
+                   [pt.neval]]),
             {"achieved_rel_tol": pt.rel_tol, "neval": pt.neval})
 
 
@@ -356,10 +385,11 @@ def _compute_scaling(cfg):
     probes = scaling_probe(params, cfg["quantity"], cfg["axis"],
                            _parse_values(cfg["points"]), xt=cfg["xt"],
                            omega_m=cfg["omega_m"], rel_tol=cfg["rel_tol"])
-    rows = [[p.parameter, p.value, p.log_slope, cfg["quantity"], ""]
-            for p in probes]
+    table = Table([[p.parameter for p in probes], [p.value for p in probes],
+                   [p.log_slope for p in probes],
+                   *_const(len(probes), cfg["quantity"], "")])
     return (["parameter", "value", "log_slope", "method", "achieved_rel_tol"],
-            rows, {})
+            table, {})
 
 
 def _compute_oracle_validate(cfg):
@@ -398,7 +428,7 @@ def _compute_oracle_validate(cfg):
             rows.append([lam, "phi1phi2", 0.0, cross, abs(cross), "oracle",
                          res.residual_norm])
     return (["lam", "quantity", "perturbative", "oracle", "rel_err",
-             "method", "achieved_rel_tol"], rows, {})
+             "method", "achieved_rel_tol"], Table(zip(*rows)), {})
 
 
 _COMPUTE = {
@@ -441,12 +471,20 @@ def compute_rows(cfg):
         raise ParameterError("a sweep needs at least 2 points")
     results = [fn({**cfg, name: v, "sweep_param": None}) for v in values]
     header = [name] + results[0][0]
-    rows = [[float(v)] + r
-            for v, (_, sub_rows, _) in zip(values, results) for r in sub_rows]
+    tables = [t for _, t, _ in results]
+    table = Table([np.repeat(values, [len(t) for t in tables]),
+                   *map(_concat, zip(*(t.columns for t in tables)))])
     # each diagnostic becomes the list of its per-point values, in sweep order
     diag = {k: [sub_diag[k] for _, _, sub_diag in results]
             for k in results[0][2]}
-    return header, rows, diag
+    return header, table, diag
+
+
+def _concat(parts):
+    """One column from its per-point parts, in sweep order."""
+    if all(map(_is_float64, parts)):
+        return np.concatenate(parts)
+    return [v for p in parts for v in p]
 
 
 def _compute_recording_warnings(cfg):
@@ -461,9 +499,9 @@ def _compute_recording_warnings(cfg):
             show(message, *args, **kwargs)
 
         warnings.showwarning = record
-        header, rows, diag = compute_rows(cfg)
+        header, table, diag = compute_rows(cfg)
     diag["warnings"] = sorted(fired)
-    return header, rows, diag
+    return header, table, diag
 
 
 # ---------------------------------------------------------------------------
@@ -475,31 +513,52 @@ def sidecar_path(output: str) -> str:
     return base + ".meta.json" if ext == ".csv" else output + ".meta.json"
 
 
-def write_outputs(cfg, header, rows, diagnostics, wall_time: float):
-    # threads and the output path never influence data values; keeping
-    # them out of the CSV block makes reruns byte-comparable
-    lines = []
-    for key in sorted(k for k in cfg if k not in ("threads", "output")):
-        lines.append(f"# {key} = {cfg[key]}")
-    lines.append(",".join(header))
-    # one %-template per row shape: floats as %.17e, anything else as str
-    templates = {}
-    for row in rows:
-        kinds = tuple(map(type, row))
-        template = templates.get(kinds)
-        if template is None:
-            template = templates[kinds] = ",".join(
-                "%.17e" if issubclass(t, float) else "%s" for t in kinds)
-        lines.append(template % tuple(row))
-    text = "\n".join(lines) + "\n"
+def _format_block(columns):
+    """The columns of one block of rows as lists of strings.  The float64
+    arrays are formatted together, %.17e once per distinct bit pattern
+    (bits, not values, so -0.0 stays apart from 0.0); every other value
+    as %.17e if it is a float, else as str."""
+    text = [None] * len(columns)
+    floats = [i for i, c in enumerate(columns) if _is_float64(c)]
+    if floats:
+        bits = np.stack([columns[i] for i in floats]).view(np.int64)
+        keys, inverse = np.unique(bits, return_inverse=True)
+        strings = np.array(["%.17e" % v for v in keys.view(np.float64).tolist()],
+                           dtype=object)
+        for i, col in zip(floats, strings[inverse.reshape(bits.shape)].tolist()):
+            text[i] = col
+    for i, c in enumerate(columns):
+        if text[i] is None:
+            text[i] = ["%.17e" % v if isinstance(v, float) else str(v) for v in c]
+    return text
+
+
+def write_outputs(cfg, header, table, diagnostics, wall_time: float):
+    """Write the CSV, BLOCK_ROWS rows at a time, then the JSON sidecar,
+    which adds the seconds spent on the CSV (diag_stage_write_s) and its
+    data row count (diag_rows).  table is a Table or a plain list of rows."""
+    if not isinstance(table, Table):
+        table = Table(zip(*table))
+    t0 = time.perf_counter()
     with open(cfg["output"], "w", newline="") as fh:
-        fh.write(text)
+        # threads and the output path never influence data values; keeping
+        # them out of the CSV block makes reruns byte-comparable
+        for key in sorted(k for k in cfg if k not in ("threads", "output")):
+            fh.write(f"# {key} = {cfg[key]}\n")
+        fh.write(",".join(header) + "\n")
+        for start in range(0, len(table), BLOCK_ROWS):
+            block = _format_block([c[start:start + BLOCK_ROWS]
+                                   for c in table.columns])
+            fh.write("\n".join(map(",".join, zip(*block))) + "\n")
+    write_s = time.perf_counter() - t0
 
     meta = dict(cfg)
     meta["library_version"] = __version__
     meta["wall_time_s"] = wall_time
     for k, v in diagnostics.items():
         meta[f"diag_{k}"] = v
+    meta["diag_stage_write_s"] = write_s
+    meta["diag_rows"] = len(table)
     with open(sidecar_path(cfg["output"]), "w") as fh:
         json.dump(meta, fh, indent=2, sort_keys=True, default=str)
         fh.write("\n")
@@ -528,11 +587,11 @@ def main(argv=None) -> int:
             cfg["output"] = args.output
         else:
             cfg = build_config(args)
-        header, rows, diag = _compute_recording_warnings(cfg)
+        header, table, diag = _compute_recording_warnings(cfg)
         # stdout carries the coupling only for a run that passed its checks
         if cfg.get("si"):
             print(f"# lambda = {_params_from(cfg).coupling_lambda:.6e}")
-        write_outputs(cfg, header, rows, diag, time.perf_counter() - t0)
+        write_outputs(cfg, header, table, diag, time.perf_counter() - t0)
         return 0
     except (ParameterError, UsageError) as exc:
         print(f"vacmirror: parameter error: {exc}", file=sys.stderr)

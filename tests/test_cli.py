@@ -4,14 +4,15 @@ import os
 import subprocess
 import sys
 import threading
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 from vacmirror import PhysicalParams
-from vacmirror.cli import (build_config, build_parser, compute_rows, main,
-                           sidecar_path, write_outputs)
+from vacmirror.cli import (BLOCK_ROWS, Table, build_config, build_parser,
+                           compute_rows, main, sidecar_path, write_outputs)
 
 from conftest import reference_csv_line
 
@@ -508,6 +509,74 @@ def test_csv_lines_match_reference_formatter_on_mixed_types(tmp_path):
     write_outputs({"command": "test", "output": str(out)}, ["c"] * 8, rows, {}, 0.0)
     data = out.read_bytes().split(b"\n")[-len(rows) - 1:]
     assert data == [reference_csv_line(r).encode() for r in rows] + [b""]
+
+
+def test_csv_columns_format_signed_zeros_and_specials(tmp_path):
+    # the float64 columns share one formatting per distinct value within a
+    # block: -0.0 must keep its own string apart from 0.0 (keyed on bits,
+    # not on values), and the table spans more than one block
+    traps = [0.0, -0.0, math.nan, math.inf, -math.inf, 5e-324, 1e-300, 0.0,
+             -0.0, 1e-300, math.nan]
+    n = 2 * BLOCK_ROWS + 5
+    a = np.resize(np.array(traps), n)
+    b = -a[::-1]
+    table = Table([a, b, a.astype(np.float32), np.arange(n, dtype=np.int64) - 3,
+                   ["s"] * n])
+    out = tmp_path / "x.csv"
+    write_outputs({"command": "test", "output": str(out)}, ["c"] * 5, table, {}, 0.0)
+    data = out.read_bytes().split(b"\n")[-n - 1:]
+    assert data == [reference_csv_line(r).encode() for r in table] + [b""]
+
+
+@pytest.mark.parametrize("argv", [
+    ["correlation", "--sweep", "mass=1:4:3:log"],
+    ["energy-density", "--sweep", "cutoff_omega_m=20,30"],
+    ["spectrum", "--cutoff", "exp:40"],
+])
+def test_csv_columns_match_reference_formatter(tmp_path, argv):
+    out = tmp_path / "x.csv"
+    assert main(argv + ["-o", str(out)]) == 0
+    cfg = build_config(build_parser().parse_args(argv + ["-o", str(out)]))
+    header, table, diag = compute_rows(cfg)
+    if argv[0] == "spectrum":
+        assert 0.0 in table.columns[header.index("weight")]  # empty bins
+    data = out.read_bytes().split(b"\n")[-len(table) - 1:]
+    assert data == [reference_csv_line(r).encode() for r in table] + [b""]
+
+
+def test_csv_streaming_memory_bound(tmp_path):
+    # 200 000 rows are written in blocks, so the writer's memory stays
+    # that of one block, not of the whole table
+    n = 200_000
+    grid = np.linspace(0.0, 1.0, 97)
+    table = Table([np.resize(grid, n), np.resize(-grid, n), np.resize(grid ** 3, n),
+                   ["discrete-sum"] * n, [""] * n])
+    out = tmp_path / "big.csv"
+    tracemalloc.start()
+    try:
+        write_outputs({"command": "test", "output": str(out)},
+                      ["a", "b", "c", "method", "achieved_rel_tol"], table, {}, 0.0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * 2**20
+    with open(out, "rb") as fh:
+        assert sum(1 for _ in fh) == 2 + n  # provenance, header, rows
+
+
+def test_sidecar_records_write_stage(tmp_path):
+    out = tmp_path / "ed.csv"
+    assert main(["energy-density", "--cutoff", "exp:20", "--grid", "0.1:0.9:7",
+                 "--sweep", "mass=1,2,4", "-o", str(out)]) == 0
+    meta = json.loads(open(sidecar_path(str(out))).read())
+    _, _, rows = read_csv(out)
+    assert meta["diag_rows"] == len(rows) == 21
+    assert isinstance(meta["diag_stage_write_s"], float)
+    assert meta["diag_stage_write_s"] >= 0.0
+    again = tmp_path / "ed-rerun.csv"
+    assert main(["rerun", "--sidecar", sidecar_path(str(out)),
+                 "-o", str(again)]) == 0
+    assert again.read_bytes() == out.read_bytes()
 
 
 @pytest.mark.parametrize("argv, code", [
