@@ -5,8 +5,10 @@ the full configuration, a header row, then one record per grid point)
 and a flat JSON sidecar (same configuration keys plus library version,
 wall-clock time and convergence diagnostics).  The computations return
 their records as a columnar Table, which write_outputs streams in blocks
-of BLOCK_ROWS rows.  Identical configurations produce byte-identical CSV
-files; `vacmirror rerun` rebuilds the CSV from a sidecar alone.
+of BLOCK_ROWS rows, each formatted in numpy (fmt17's exact "%.17e" for
+float64 values) and written as one byte buffer.  Identical configurations
+produce byte-identical CSV files; `vacmirror rerun` rebuilds the CSV from
+a sidecar alone.
 build_config only translates options (it checks --cutoff, where it
 enters); every other value is checked where the run uses it, in
 compute_rows or a _compute_* function, so a rerun meets the checks and
@@ -35,6 +37,7 @@ from . import __version__
 from .continuum import (DEFAULT_BUDGET, asymptotic_correlation,
                         continuum_correlation, scaling_probe)
 from .errors import (CapacityError, ConvergenceError, ParameterError, UsageError)
+from .fmt17 import slots
 from .model import CutoffSpec, PhysicalParams
 from .oracle import TruncationSpec, build_hamiltonian, expectation, ground_state
 from .perturb import energy_shift, photon_spectrum
@@ -279,9 +282,9 @@ def _grid_from(cfg, key):
 # ---------------------------------------------------------------------------
 
 class Table:
-    """CSV records held as columns of equal length: float64 arrays, or
-    sequences of any values.  len() is the row count; iterating yields
-    the rows as tuples."""
+    """CSV records held as columns of equal length: float64 arrays, Repeat
+    and Cycle columns, or sequences of any values.  len() is the row
+    count; iterating yields the rows as tuples."""
 
     def __init__(self, columns):
         self.columns = list(columns)
@@ -298,9 +301,53 @@ def _is_float64(column) -> bool:
     return isinstance(column, np.ndarray) and column.dtype == np.float64
 
 
+class Repeat:
+    """A column of one value repeated n times; the writer formats it once
+    per block."""
+
+    def __init__(self, value, n):
+        self.value, self.n = value, n
+
+    def __len__(self):
+        return self.n
+
+    def __iter__(self):
+        return (self.value for _ in range(self.n))
+
+
+class Cycle:
+    """A column of n rows whose row i is values[(i // every) % len(values)],
+    as np.tile(np.repeat(values, every), ...) but expanded one slice at a
+    time; the writer formats each of its values once per table."""
+
+    def __init__(self, values, every, n):
+        self.values, self.every, self.n = np.asarray(values), every, n
+        self._slots = None
+
+    def __len__(self):
+        return self.n
+
+    def __iter__(self):
+        for start in range(0, self.n, BLOCK_ROWS):
+            yield from self[start:start + BLOCK_ROWS]
+
+    def __getitem__(self, rows: slice):
+        return self.values[self.index(*rows.indices(self.n))]
+
+    def index(self, start, stop, step=1):
+        """Positions in values of rows start:stop:step."""
+        return np.arange(start, stop, step) // self.every % len(self.values)
+
+    def slots(self, encoding):
+        """(text, keep) of every value, as _slots gives them; made once."""
+        if self._slots is None:
+            self._slots = _slots(self.values, encoding)
+        return self._slots
+
+
 def _const(n, *values):
-    """One column per value, each value repeated n times."""
-    return [[v] * n for v in values]
+    """One Repeat column per value, each value repeated n times."""
+    return [Repeat(v, n) for v in values]
 
 
 def _compute_energy_shift(cfg):
@@ -362,9 +409,10 @@ def _compute_correlation(cfg):
         params, cutoff, x1, x2, cfg["n_max"], negativity=cfg["negativity"])
     # rows run over x1 outer, x2 inner
     n1, n2 = grid.values.shape
-    table = Table([np.repeat(grid.x1_grid, n2), np.tile(grid.x2_grid, n1),
-                   np.repeat(grid.xt1_grid, n2), np.tile(grid.xt2_grid, n1),
-                   grid.values.ravel(), *_const(n1 * n2, "discrete-sum", "")])
+    n = n1 * n2
+    table = Table([Cycle(grid.x1_grid, n2, n), Cycle(grid.x2_grid, 1, n),
+                   Cycle(grid.xt1_grid, n2, n), Cycle(grid.xt2_grid, 1, n),
+                   grid.values.ravel(), *_const(n, "discrete-sum", "")])
     return (["x1", "x2", "xt1", "xt2", "value", "method", "achieved_rel_tol"],
             table, {"n_modes": grid.n_modes, "kernel_nodes": grid.kernel_nodes})
 
@@ -482,6 +530,11 @@ def compute_rows(cfg):
 
 def _concat(parts):
     """One column from its per-point parts, in sweep order."""
+    first = parts[0]
+    if all(isinstance(p, Repeat) and _text(p.value) == _text(first.value)
+           for p in parts):
+        return Repeat(first.value, sum(map(len, parts)))
+    parts = [p[0:len(p)] if isinstance(p, Cycle) else p for p in parts]
     if all(map(_is_float64, parts)):
         return np.concatenate(parts)
     return [v for p in parts for v in p]
@@ -513,24 +566,58 @@ def sidecar_path(output: str) -> str:
     return base + ".meta.json" if ext == ".csv" else output + ".meta.json"
 
 
-def _format_block(columns):
-    """The columns of one block of rows as lists of strings.  The float64
-    arrays are formatted together, %.17e once per distinct bit pattern
-    (bits, not values, so -0.0 stays apart from 0.0); every other value
-    as %.17e if it is a float, else as str."""
-    text = [None] * len(columns)
-    floats = [i for i, c in enumerate(columns) if _is_float64(c)]
+def _text(v) -> str:
+    """The CSV text of one value that is not in a float64 array."""
+    return "%.17e" % v if isinstance(v, float) else str(v)
+
+
+def _slots(values, encoding):
+    """(text, keep) for a sequence of values: a uint8 array with one row of
+    fixed width per value and the mask of its bytes to keep.  A float64
+    array is formatted by fmt17.slots, anything else by _text."""
+    if _is_float64(values):
+        return slots(values)
+    data = [_text(v).encode(encoding) for v in values]
+    width = max(1, max(map(len, data), default=0))
+    text = np.array(data, dtype=f"S{width}").view(np.uint8).reshape(-1, width)
+    lengths = np.fromiter(map(len, data), np.int64, len(data))
+    return text, np.arange(width) < lengths[:, None]
+
+
+def _format_block(columns, start, stop, encoding):
+    """The CSV lines of rows start:stop as a uint8 array: each column's
+    slots and its separator placed side by side, then the kept bytes in
+    row order.  The float64 arrays are formatted together, once per
+    distinct bit pattern (bits, not values, so -0.0 stays apart from 0.0);
+    a Repeat column once, a Cycle column from its values' slots."""
+    parts = [None] * len(columns)
+    floats = [j for j, c in enumerate(columns) if _is_float64(c)]
     if floats:
-        bits = np.stack([columns[i] for i in floats]).view(np.int64)
+        bits = np.stack([columns[j][start:stop] for j in floats]).view(np.int64)
         keys, inverse = np.unique(bits, return_inverse=True)
-        strings = np.array(["%.17e" % v for v in keys.view(np.float64).tolist()],
-                           dtype=object)
-        for i, col in zip(floats, strings[inverse.reshape(bits.shape)].tolist()):
-            text[i] = col
-    for i, c in enumerate(columns):
-        if text[i] is None:
-            text[i] = ["%.17e" % v if isinstance(v, float) else str(v) for v in c]
-    return text
+        shared = slots(keys.view(np.float64))
+        for j, rows in zip(floats, inverse.reshape(bits.shape)):
+            parts[j] = tuple(a.take(rows, axis=0) for a in shared)
+    for j, column in enumerate(columns):
+        if isinstance(column, Repeat):
+            parts[j] = _slots([column.value], encoding)
+        elif isinstance(column, Cycle):
+            rows = column.index(start, stop)
+            parts[j] = tuple(a.take(rows, axis=0) for a in column.slots(encoding))
+        elif parts[j] is None:
+            parts[j] = _slots(column[start:stop], encoding)
+    width = sum(t.shape[1] + 1 for t, _ in parts)
+    text = np.empty((stop - start, width), np.uint8)
+    keep = np.ones((stop - start, width), bool)
+    at = 0
+    for t, k in parts:
+        end = at + t.shape[1]
+        text[:, at:end] = t
+        keep[:, at:end] = k
+        text[:, end] = ord(",")
+        at = end + 1
+    text[:, -1] = ord("\n")
+    return text[keep]
 
 
 def write_outputs(cfg, header, table, diagnostics, wall_time: float):
@@ -546,10 +633,11 @@ def write_outputs(cfg, header, table, diagnostics, wall_time: float):
         for key in sorted(k for k in cfg if k not in ("threads", "output")):
             fh.write(f"# {key} = {cfg[key]}\n")
         fh.write(",".join(header) + "\n")
-        for start in range(0, len(table), BLOCK_ROWS):
-            block = _format_block([c[start:start + BLOCK_ROWS]
-                                   for c in table.columns])
-            fh.write("\n".join(map(",".join, zip(*block))) + "\n")
+        fh.flush()  # the rows go straight to the byte buffer underneath
+        n = len(table)
+        for start in range(0, n, BLOCK_ROWS):
+            fh.buffer.write(_format_block(table.columns, start,
+                                          min(start + BLOCK_ROWS, n), fh.encoding))
     write_s = time.perf_counter() - t0
 
     meta = dict(cfg)
@@ -587,7 +675,9 @@ def main(argv=None) -> int:
             cfg["output"] = args.output
         else:
             cfg = build_config(args)
+        t1 = time.perf_counter()
         header, table, diag = _compute_recording_warnings(cfg)
+        diag["stage_compute_s"] = time.perf_counter() - t1
         # stdout carries the coupling only for a run that passed its checks
         if cfg.get("si"):
             print(f"# lambda = {_params_from(cfg).coupling_lambda:.6e}")

@@ -59,6 +59,12 @@ __all__ = [
 PAIR_BYTES = 120
 PAIR_TABLE_LIMIT = 1 << 30
 
+# photon_spectrum refuses histograms of more than MAX_BINS bins before it
+# allocates them (edges, weights and centers take 24 bytes a bin, and the
+# CLI writes one row a bin); the default width omega0/20 at MAX_MODES
+# needs 40 (MAX_MODES - 1) omega1/omega0 bins, 7 999 961 at omega0 = omega1
+MAX_BINS = 1 << 24
+
 
 @dataclass(frozen=True)
 class DressedAmplitudes:
@@ -189,9 +195,10 @@ def photon_spectrum(params: PhysicalParams, cutoff: CutoffSpec,
     2 hbar/(8 m omega0 L^2) omega1^2 M_s (h_s g_s)^2 on normalized states,
     with M_s the index-product sum of the energy shift; so the histogram
     costs O(N) and builds no per-pair array.  n_max as in energy_shift.
-    bin_width defaults to omega0/20.  The sum of all bin weights equals
-    lambda_sq of the dressed amplitudes; the peak location is reported as
-    a diagnostic.
+    bin_width defaults to omega0/20; a width that asks for more than
+    MAX_BINS bins raises CapacityError before any bin exists.  The sum of
+    all bin weights equals lambda_sq of the dressed amplitudes; the peak
+    location is reported as a diagnostic.
     """
     if bin_width is None:
         bin_width = params.omega0 / 20.0
@@ -205,7 +212,12 @@ def photon_spectrum(params: PhysicalParams, cutoff: CutoffSpec,
     pre = 2.0 * params.hbar * params.omega1**2 / (
         8.0 * params.mass * params.omega0 * params.length**2)
     w = pre * _pair_index_products(len(modes)) * (h * g)**2
-    n_bins = max(1, int(np.ceil((span + 1e-12 * max(span, 1.0)) / bin_width)) if span > 0 else 1)
+    bins = (span + 1e-12 * max(span, 1.0)) / bin_width if span > 0 else 1.0
+    if bins > MAX_BINS:
+        raise CapacityError(
+            f"bin_width {bin_width:g} splits the spectral range {span:g} into "
+            f"{bins:.3g} bins, above the limit of {MAX_BINS}")
+    n_bins = max(1, int(np.ceil(bins)))
     edges = W[0] + bin_width * np.arange(n_bins + 1)
     idx = np.minimum(((W - W[0]) / bin_width).astype(np.int64), n_bins - 1)
     weights = np.bincount(idx, weights=w, minlength=n_bins)

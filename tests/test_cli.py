@@ -417,11 +417,11 @@ def test_oracle_validate_explicit_zero_position_rejected(tmp_path):
     assert rc == 2
 
 
-def _cold_python(code, cwd):
+def _cold_python(code, cwd, packages=("scipy",)):
     """Run code in a fresh interpreter that imports vacmirror from src/;
-    it prints the sorted scipy modules it ended with."""
+    it prints the sorted modules of the given packages it ended with."""
     tail = ("\nimport json, sys\n"
-            "print(json.dumps(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')))")
+            f"print(json.dumps(sorted(m for m in sys.modules if m.split('.')[0] in {packages!r})))")
     proc = subprocess.run([sys.executable, "-c", code + tail], cwd=cwd,
                           env=dict(os.environ, PYTHONPATH=SRC),
                           capture_output=True, text=True, timeout=300)
@@ -443,6 +443,18 @@ def test_cold_start_loads_no_scipy(tmp_path):
                  "from vacmirror import cli\n" + "".join(
                      f"assert cli.main({r}) == 0\n" for r in runs)):
         assert _cold_python(code, tmp_path) == [], code
+
+
+def test_cold_start_loads_no_fractions_or_decimal(tmp_path):
+    # the CSV formatter builds its powers of ten from Python integers, so
+    # neither set-up nor the first CSV write imports fractions or decimal
+    packages = ("fractions", "decimal", "_decimal", "_pydecimal")
+    assert _cold_python("from vacmirror import cli; cli.build_parser()",
+                        tmp_path, packages) == []
+    assert _cold_python("from vacmirror import cli\n"
+                        "assert cli.main(['spectrum', '-o', 'sp.csv']) == 0",
+                        tmp_path, packages) == []
+    assert (tmp_path / "sp.csv").read_bytes().count(b"\n") > 100
 
 
 def test_cold_start_scipy_commands_run(tmp_path):
@@ -577,6 +589,74 @@ def test_sidecar_records_write_stage(tmp_path):
     assert main(["rerun", "--sidecar", sidecar_path(str(out)),
                  "-o", str(again)]) == 0
     assert again.read_bytes() == out.read_bytes()
+
+
+def test_sidecar_records_compute_stage(tmp_path):
+    # seconds spent in compute_rows, a scalar also in a sweep; rerun drops
+    # it with every diag_* key, so the CSV is rebuilt byte for byte
+    out = tmp_path / "ed.csv"
+    assert main(["energy-density", "--cutoff", "exp:20", "--grid", "0.1:0.9:7",
+                 "--sweep", "mass=1,2,4", "-o", str(out)]) == 0
+    meta = json.loads(open(sidecar_path(str(out))).read())
+    assert isinstance(meta["diag_stage_compute_s"], float)
+    assert 0.0 <= meta["diag_stage_compute_s"] <= meta["wall_time_s"]
+    assert isinstance(meta["diag_n_modes"], list)
+    again = tmp_path / "ed-rerun.csv"
+    assert main(["rerun", "--sidecar", sidecar_path(str(out)),
+                 "-o", str(again)]) == 0
+    assert again.read_bytes() == out.read_bytes()
+
+
+def test_correlation_table_holds_grids_not_rows():
+    # the x1, x2, xt1 and xt2 columns expand from their grids one block at
+    # a time, and the constant columns hold one value: beyond the engine,
+    # the 10^6-row table costs little (25.9 MiB measured; whole columns
+    # took 61.2 MiB)
+    argv = ["correlation", "--cutoff", "exp:5", "--x1-grid", "0.05:0.95:1000",
+            "--x2-grid", "1.05:1.95:1000", "-o", "unused.csv"]
+    cfg = build_config(build_parser().parse_args(argv))
+    tracemalloc.start()
+    try:
+        header, table, _ = compute_rows(cfg)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 32 * 2**20
+    assert len(table) == 10**6
+    x1 = np.linspace(0.05, 0.95, 1000)
+    x2 = np.linspace(1.05, 1.95, 1000)
+    rows = slice(BLOCK_ROWS - 7, 3 * BLOCK_ROWS + 11)
+    columns = dict(zip(header, table.columns))
+    assert np.array_equal(columns["x1"][rows], np.repeat(x1, 1000)[rows])
+    assert np.array_equal(columns["x2"][rows], np.tile(x2, 1000)[rows])
+    assert set(columns["method"]) == {"discrete-sum"}
+
+
+@pytest.mark.parametrize("width", ["1e-300", "1e-9"])
+def test_spectrum_bin_count_checked_before_allocating(tmp_path, width):
+    tracemalloc.start()
+    try:
+        code = main(["spectrum", "--cutoff", "exp:20", "--bin-width", width,
+                     "-o", str(tmp_path / "sp.csv")])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 4
+    assert peak < 4 * 2**20
+    assert not (tmp_path / "sp.csv").exists()
+
+
+def test_default_spectrum_at_n_36842_runs(tmp_path):
+    # N = 36842 modes at the default width: 1 473 641 bins, far inside
+    # MAX_BINS, which admits the default width at MAX_MODES
+    out = tmp_path / "sp.csv"
+    try:
+        assert main(["spectrum", "--m", "15.915", "--omega0", repr(math.pi),
+                     "--cutoff", f"exp:{1000 * math.pi!r}", "-o", str(out)]) == 0
+        meta = json.loads(open(sidecar_path(str(out))).read())
+        assert meta["diag_rows"] == 1_473_641
+    finally:
+        out.unlink(missing_ok=True)
 
 
 @pytest.mark.parametrize("argv, code", [
