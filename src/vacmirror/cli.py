@@ -622,8 +622,10 @@ def _format_block(columns, start, stop, encoding):
 
 def write_outputs(cfg, header, table, diagnostics, wall_time: float):
     """Write the CSV, BLOCK_ROWS rows at a time, then the JSON sidecar,
-    which adds the seconds spent on the CSV (diag_stage_write_s) and its
-    data row count (diag_rows).  table is a Table or a plain list of rows."""
+    which adds the seconds spent on the CSV (diag_stage_write_s), its data
+    row count (diag_rows) and the process's peak resident memory so far
+    (diag_peak_rss_kib).  table is a Table or a plain list of rows."""
+    import resource     # POSIX only, and needed here only
     if not isinstance(table, Table):
         table = Table(zip(*table))
     t0 = time.perf_counter()
@@ -647,6 +649,8 @@ def write_outputs(cfg, header, table, diagnostics, wall_time: float):
         meta[f"diag_{k}"] = v
     meta["diag_stage_write_s"] = write_s
     meta["diag_rows"] = len(table)
+    # ru_maxrss is in KiB on Linux
+    meta["diag_peak_rss_kib"] = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
     with open(sidecar_path(cfg["output"]), "w") as fh:
         json.dump(meta, fh, indent=2, sort_keys=True, default=str)
         fh.write("\n")
@@ -665,9 +669,16 @@ def config_from_sidecar(path: str) -> dict:
 # entry point
 # ---------------------------------------------------------------------------
 
+# the parser of `main`, built on its first call and reused by later calls
+# in the same process
+_parser = None
+
+
 def main(argv=None) -> int:
-    ap = build_parser()
-    args = ap.parse_args(argv)
+    global _parser
+    if _parser is None:
+        _parser = build_parser()
+    args = _parser.parse_args(argv)
     t0 = time.perf_counter()
     try:
         if args.command == "rerun":

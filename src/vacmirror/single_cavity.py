@@ -38,7 +38,7 @@ kernels go through their exponential sums (see `kernels`),
 
     1/(omega0 + w_j + w_k) = sum_r a_r e^{-e_r omega0} e^{-e_r w_j} e^{-e_r w_k},
 
-with r ~ 200 terms, so a profile costs O(N r) per grid point instead of
+with r = 25 to 70 terms, so a profile costs O(N r) per grid point instead of
 O(N^3), contracted in blocks of modes with no table larger than O(N) or
 one block.  The energy density's complete form also convolves over index
 sums, which is O(N^2) work in O(N) memory.  The profiles are:
@@ -81,7 +81,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import UsageError
-from .kernels import blocks, exp_sum
+from .kernels import blocks, exp_sum, phases
 from .model import CutoffSpec, PhysicalParams, mass_free_sum, mode_tables
 
 __all__ = [
@@ -170,10 +170,11 @@ def _profile_sum(params, cutoff, n_max, xc, trigs, freq_numerator, sigma,
 def _contract(params, modes, damp, W, xc, trigs, freq_numerator, sigma, state):
     """Kernel node count and the profile's mode sum on the grid xc.
 
-    trigs holds one trig per field factor.  With T_k(x) = c_k trig(k_k x),
-    c_k = s_k n_k g_k and the numerator n_k = w_k if freq_numerator else 1,
-    the first-order form is sum_j o_j F_j(x)^2 with o_j = w_j g_j and the
-    per-j inner sums F_j = sum_k T_k / (omega0 + w_j + w_k).
+    trigs holds one trig, 'cos' or 'sin', per field factor.  With
+    T_k(x) = c_k trig(k_k x), c_k = s_k n_k g_k and the numerator
+    n_k = w_k if freq_numerator else 1, the first-order form is
+    sum_j o_j F_j(x)^2 with o_j = w_j g_j and the per-j inner sums
+    F_j = sum_k T_k / (omega0 + w_j + w_k).
 
     The second-order form adds 2 sigma sum_k R_k T_k U_k with
     R_k = sum_j o_j / (omega0 + w_j + w_k) and U_k = sum_l T_l / (w_k + w_l)
@@ -188,7 +189,8 @@ def _contract(params, modes, damp, W, xc, trigs, freq_numerator, sigma, state):
     Both kernels go through their exponential sums (see `kernels`): a first
     pass over mode blocks projects T and o onto the nodes, a second expands
     the projections back block by block and reduces them on the spot, so
-    no table is larger than O(N) or one block.
+    no table is larger than O(N) or one block.  The trig factors of every
+    block after the first are the first block's, rotated (`kernels.phases`).
     """
     n = len(modes)
     w = modes.frequencies
@@ -197,18 +199,23 @@ def _contract(params, modes, damp, W, xc, trigs, freq_numerator, sigma, state):
     outer = w * damp
     pair = state == "second_order" and sigma is not None
 
-    def trig_table(b):      # T_k(x) of every factor, side by side
-        kx = np.outer(modes.wavenumbers[b], xc)
-        return coef[b, None] * np.hstack([trig(kx) for trig in trigs])
-
     # 1/(omega0 + w_j + w_k) and 1/(w_k + w_l) on the index sums they take
     w1 = params.omega1
     e, a = exp_sum(params.omega0 + 2.0 * w1, params.omega0 + 2.0 * n * w1)
     a = a * np.exp(-e * params.omega0)
     ep, ap = exp_sum(2.0 * w1, 2.0 * n * w1)
-    width = len(e) + len(ep) + 3 * len(trigs) * xc.size
+    # the factors' tables and the complex table of `phases`, per mode
+    width = len(e) + len(ep) + (3 * len(trigs) + 2) * xc.size
+    mode_blocks = blocks(n, width)
+    phase = phases(modes.wavenumbers, xc, mode_blocks[0].stop)
+
+    def trig_table(b):      # T_k(x) of every factor, side by side
+        z = phase(b)
+        parts = {"cos": z.real, "sin": z.imag}
+        return coef[b, None] * np.hstack([parts[trig] for trig in trigs])
+
     G = Gp = P = 0.0
-    for b in blocks(n, width):
+    for b in mode_blocks:
         E = np.exp(-np.outer(w[b], e))
         T = trig_table(b)
         G = G + E.T @ T
@@ -218,7 +225,7 @@ def _contract(params, modes, damp, W, xc, trigs, freq_numerator, sigma, state):
     G = a[:, None] * G
     vals = 0.0
     R = np.empty(n)
-    for b in blocks(n, width):
+    for b in mode_blocks:
         E = np.exp(-np.outer(w[b], e))
         vals = vals + outer[b] @ (E @ G)**2
         R[b] = E @ (a * P)
@@ -257,7 +264,7 @@ def delta_energy_density(params: PhysicalParams, cutoff: CutoffSpec, grid,
     """
     x, xc = _cavity_grid(params, grid, origin)
     n, r, vals = _profile_sum(params, cutoff, n_max, xc,
-                              (np.cos, np.sin), True, None, state)
+                              ("cos", "sin"), True, None, state)
     pre = params.hbar**2 / (2.0 * params.length**3 * params.mass * params.omega0)
     return ObservableProfile("delta_energy_density", x, pre * vals, params,
                              cutoff, origin, n, state, r)
@@ -276,7 +283,7 @@ def em_field_fluctuations(params: PhysicalParams, cutoff: CutoffSpec, grid,
     if component not in ("E", "B"):
         raise UsageError(f"component must be 'E' or 'B', got {component!r}")
     x, xc = _cavity_grid(params, grid, origin)
-    trig, sigma = (np.sin, -1.0) if component == "E" else (np.cos, 1.0)
+    trig, sigma = ("sin", -1.0) if component == "E" else ("cos", 1.0)
     n, r, vals = _profile_sum(params, cutoff, n_max, xc, (trig,), True, sigma,
                               state)
     pre = params.hbar**2 / (params.mass * params.omega0 * params.length**3)
@@ -293,7 +300,7 @@ def delta_phi_squared(params: PhysicalParams, cutoff: CutoffSpec, grid,
     n_max and state as in delta_energy_density.
     """
     x, xc = _cavity_grid(params, grid, origin)
-    n, r, vals = _profile_sum(params, cutoff, n_max, xc, (np.sin,), False, 1.0,
+    n, r, vals = _profile_sum(params, cutoff, n_max, xc, ("sin",), False, 1.0,
                               state)
     pre = (params.hbar**2 * params.c**2
            / (params.length**3 * params.mass * params.omega0))

@@ -6,7 +6,7 @@ import pytest
 from vacmirror import (CutoffSpec, default_grid, delta_energy_density,
                        em_field_fluctuations, photon_spectrum,
                        squared_field_correlation_discrete)
-from vacmirror.kernels import exp_sum
+from vacmirror.kernels import blocks, exp_sum, phases
 
 from conftest import params_for_lambda
 
@@ -25,6 +25,50 @@ def test_exp_sum_fits_inverse(lo, hi):
     x = np.geomspace(lo, hi, 20_001)
     fit = np.exp(-np.outer(x, e)) @ w
     assert np.max(np.abs(fit * x - 1.0)) <= 1e-15
+
+
+def test_exp_sum_gauss_tail_at_max_modes():
+    # 1/(omega0 + W) at N = 184208: the Gauss rule that stands for the
+    # lower tail keeps the fit, with positive weights and few nodes
+    N = 184208
+    lo, hi = W0 + 2 * W1, W0 + 2 * N * W1
+    e, w = exp_sum(lo, hi)
+    assert len(e) <= 80
+    assert np.all(w > 0)
+    x = np.geomspace(lo, hi, 20_001)
+    fit = np.exp(-np.outer(x, e)) @ w
+    assert np.max(np.abs(fit * x - 1.0)) <= 1e-15
+
+
+def test_phases_as_accurate_as_cos_sin():
+    # the rotated table against cos and sin of the exact phase n pi x / L,
+    # taken in np.longdouble: no less accurate than np.cos and np.sin of
+    # the rounded products k_n x, in rms and in max, at N = 184208 modes
+    # (phases up to 5.8e5) on blocks of an engine's size
+    N, L = 184208, 1.0
+    k = np.arange(1, N + 1) * (np.pi / L)
+    x = np.array([0.01, 0.3, 0.5, 0.77, 0.99])
+    mode_blocks = blocks(N, 170)
+    table = phases(k, x, mode_blocks[0].stop)
+    z = np.vstack([table(b) for b in mode_blocks])
+    pi = np.longdouble("3.14159265358979323846264338327950288")
+    exact = np.outer(np.arange(1, N + 1, dtype=np.longdouble) * pi / L,
+                     x.astype(np.longdouble))
+    for part, trig in ((z.real, np.cos), (z.imag, np.sin)):
+        ref = trig(exact)
+        rotated = (part - ref).astype(float)
+        direct = (trig(np.outer(k, x)) - ref).astype(float)
+        assert np.sqrt(np.mean(rotated**2)) <= 1.1 * np.sqrt(np.mean(direct**2))
+        assert np.max(np.abs(rotated)) <= 1.1 * np.max(np.abs(direct))
+
+
+def test_phases_one_block_is_cos_sin():
+    k = np.arange(1, 6) * np.pi
+    x = np.array([0.1, 0.5, 0.9])
+    z = phases(k, x, 5)(slice(0, 5))
+    kx = np.outer(k, x)
+    assert np.array_equal(z.real, np.cos(kx))
+    assert np.array_equal(z.imag, np.sin(kx))
 
 
 def test_engines_at_large_mode_count_stay_small():
