@@ -385,7 +385,8 @@ def _compute_profile(cfg):
     table = Table([prof.grid_cavity, prof.grid_from_movable_wall, prof.values,
                    *_const(len(prof.values), "discrete-sum", "")])
     return (["x", "x_from_movable_wall", "value", "method", "achieved_rel_tol"],
-            table, {"n_modes": prof.n_modes, "kernel_nodes": prof.kernel_nodes})
+            table, {"n_modes": prof.n_modes, "kernel_nodes": prof.kernel_nodes,
+                    "cond": prof.cond})
 
 
 def _compute_correlation(cfg):
@@ -414,7 +415,8 @@ def _compute_correlation(cfg):
                    Cycle(grid.xt1_grid, n2, n), Cycle(grid.xt2_grid, 1, n),
                    grid.values.ravel(), *_const(n, "discrete-sum", "")])
     return (["x1", "x2", "xt1", "xt2", "value", "method", "achieved_rel_tol"],
-            table, {"n_modes": grid.n_modes, "kernel_nodes": grid.kernel_nodes})
+            table, {"n_modes": grid.n_modes, "kernel_nodes": grid.kernel_nodes,
+                    "cond": grid.cond})
 
 
 def _compute_continuum(cfg):

@@ -44,8 +44,8 @@ Two independent evaluation paths are provided and cross-validated:
   doubling until two refinement levels agree.  Within a cavity the
   summand is symmetric in its two wavenumbers, so each cavity's pairs
   are folded to p <= q (doubled weight off the diagonal).  The kernel
-  1/(K1 + K2) goes through the exponential sum of `kernels` (r ~ 200
-  terms on the range K1 + K2 takes, within 1e-15 relative): each
+  1/(K1 + K2) goes through the exponential sum of `kernels` (r = 25 to
+  70 terms on the range K1 + K2 takes, within 1e-15 relative): each
   cavity's folded pairs are projected onto the nodes by
   `kernels.project`, so a level with n nodes per axis costs O(n^2 r)
   and memory stays bounded.  The evaluation budget caps this path and

@@ -38,9 +38,9 @@ from .errors import CapacityError, DegenerateModeSetError, ParameterError, Usage
 
 # Limit on the number of field modes a mode table may hold.  The energy
 # shift and the photon spectrum work on O(N) index-sum tables, and the
-# profiles and the correlation contract their kernels as exponential sums
-# in mode blocks (see `kernels`), so every discrete engine's memory is
-# O(N) per grid point and reaches this limit in hundreds of MiB.  Only
+# profiles and the correlation sum their modes in closed form (see
+# `kernels`), so every discrete engine's memory is O(N) at most and
+# reaches this limit in hundreds of MiB.  Only
 # `dressed_amplitudes`, which holds every one of the N (N + 1) / 2 pairs,
 # has a lower limit (`perturb.PAIR_TABLE_LIMIT`).
 MAX_MODES = 200_000
@@ -256,6 +256,13 @@ def _cutoff_factor(spec: CutoffSpec, total, largest):
         return np.exp(-np.asarray(total) / spec.omega_m)
     passing = largest if spec.sharp_rule == "per_mode" else total
     return np.where(np.asarray(passing) <= spec.omega_m, 1.0, 0.0)
+
+
+def damping_rate(spec: CutoffSpec) -> float:
+    """The per-mode weight of a factorizing cutoff as a rate: a mode of
+    frequency w that the cutoff keeps weighs exp(-w * rate).  1/omega_m for
+    the exponential kind, 0 for the sharp per-mode rule."""
+    return 1.0 / spec.omega_m if spec.kind == "exp" else 0.0
 
 
 def mode_tables(params: PhysicalParams, cutoff: CutoffSpec, n_max: int | None = None):

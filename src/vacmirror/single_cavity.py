@@ -31,17 +31,18 @@ settled by the exact-diagonalization oracle: only the complete form
 approaches the exact ground state's value as lambda -> 0.
 
 T = cos for the gradient-type factors and T = sin for the kinetic-type
-and phi factors.  The k and l sums factorize for each j, and the extra
-sum of the complete form factorizes into Hankel products over index sums
-(1/(omega0 + w_j + w_k) depends on j + k, 1/(w_k + w_l) on k + l).  Both
-kernels go through their exponential sums (see `kernels`),
+and phi factors.  Both kernels go through their exponential sums (see
+`kernels`),
 
     1/(omega0 + w_j + w_k) = sum_r a_r e^{-e_r omega0} e^{-e_r w_j} e^{-e_r w_k},
 
-with r = 25 to 70 terms, so a profile costs O(N r) per grid point instead of
-O(N^3), contracted in blocks of modes with no table larger than O(N) or
-one block.  The energy density's complete form also convolves over index
-sums, which is O(N^2) work in O(N) memory.  The profiles are:
+with r = 25 to 70 terms.  The mode sums then factorize over the nodes,
+and each is a finite geometric series in e^{-u omega1} e^{i pi (L - x)/L}
+that `kernels.geometric_sums` evaluates in closed form: a first-order
+profile costs O(r^2) per grid point and a complete one O(r^2) per grid
+point and node pair, whatever the mode count N, with no table larger
+than the grid times r or a block of BLOCK_BYTES.  Up to SMALL_MODES modes
+the sums run mode by mode instead (see `_contract`).  The profiles are:
 
 - change of the field energy density (numerator w_j w_k w_l, prefactor
   hbar^2/(2 L^3 m omega0), cos[(w_k - w_l) x / c] expanded as
@@ -53,8 +54,8 @@ sums, which is O(N^2) work in O(N) memory.  The profiles are:
   hbar^2 c^2/(L^3 m omega0)).
 
 The energy density change equals (<E^2> + <B^2>)/2 identically, in both
-forms; the two sides are computed by separate code paths, which the tests
-exploit.
+forms; the energy density contracts complex geometric sums, E and B their
+imaginary and real parts, which the tests exploit.
 
 The mirror mass enters a profile only through its 1/m prefactor, so the
 mode sum behind it is mass-free, and a call that differs from the last
@@ -81,8 +82,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import UsageError
-from .kernels import blocks, exp_sum, phases
-from .model import CutoffSpec, PhysicalParams, mass_free_sum, mode_tables
+from .kernels import blocks, exp_sum, geometric_sums
+from .model import (CutoffSpec, PhysicalParams, damping_rate, mass_free_sum,
+                    mode_tables)
 
 __all__ = [
     "ObservableProfile",
@@ -94,6 +96,12 @@ __all__ = [
 
 # the two forms of every profile; see the module docstring
 STATES = ("first_order", "second_order")
+
+# profiles over at most this many modes are summed mode by mode: there the
+# complete energy density's extra term is summed over index sums, as
+# cos((k_k + k_l) x), which the closed form takes as products of cos and
+# sin whose cancellation costs about 1e-14 of the term at N = 3
+SMALL_MODES = 64
 
 
 @dataclass(frozen=True)
@@ -109,6 +117,7 @@ class ObservableProfile:
     n_modes: int = 0
     state: str = "first_order"  # which form of the profile, see STATES
     kernel_nodes: int = 0      # terms of the exponential sum for 1/(omega0 + W)
+    cond: float = 0.0          # sum |terms| / max |value| of the node contraction
 
     @property
     def grid_cavity(self) -> np.ndarray:
@@ -148,96 +157,130 @@ def _cavity_grid(params, grid, origin):
     return x, xc
 
 
-def _profile_sum(params, cutoff, n_max, xc, trigs, freq_numerator, sigma,
+def _profile_sum(params, cutoff, n_max, xc, part, freq_numerator, sigma,
                  state):
-    """Mode count, kernel node count and the profile's mode sum on the grid
-    xc; the sum is reused across masses (see `model.mass_free_sum`)."""
+    """Mode count, kernel node count, the profile's mode sum on the grid xc
+    and its condition estimate; the sum is reused across masses (see
+    `model.mass_free_sum`)."""
     if state not in STATES:
         raise UsageError(f"state must be one of {STATES}, got {state!r}")
-    modes, damp, _, W, _ = mode_tables(params, cutoff, n_max)
+    modes, damp, _, _, _ = mode_tables(params, cutoff, n_max)
     if damp is None:
         raise UsageError(
             "sharp cutoff with the 'total' rule does not factorize; "
             "the profiles support sharp_rule='per_mode' only")
-    r, vals = mass_free_sum(
-        params, ("profile", cutoff, n_max, xc, trigs, freq_numerator, sigma,
+    r, vals, cond = mass_free_sum(
+        params, ("profile", cutoff, n_max, xc, part, freq_numerator, sigma,
                  state),
-        lambda: _contract(params, modes, damp, W, xc, trigs, freq_numerator,
-                          sigma, state))
-    return len(modes), r, vals
+        lambda: _contract(params, cutoff, modes, damp, xc, part,
+                          freq_numerator, sigma, state))
+    return len(modes), r, vals, cond
 
 
-def _contract(params, modes, damp, W, xc, trigs, freq_numerator, sigma, state):
-    """Kernel node count and the profile's mode sum on the grid xc.
+def _contract(params, cutoff, modes, damp, xc, part, freq_numerator, sigma,
+              state):
+    """Kernel node count, the profile's mode sum on the grid xc and its
+    condition estimate sum |terms| / max |value|.
 
-    trigs holds one trig, 'cos' or 'sin', per field factor.  With
-    T_k(x) = c_k trig(k_k x), c_k = s_k n_k g_k and the numerator
-    n_k = w_k if freq_numerator else 1, the first-order form is
-    sum_j o_j F_j(x)^2 with o_j = w_j g_j and the per-j inner sums
-    F_j = sum_k T_k / (omega0 + w_j + w_k).
+    part is 'cos' or 'sin', the trig of both field factors, or 'exp' for
+    the energy density, whose factor pairs add up to
+    Re(e^{i k_k x} e^{+-i k_l x}).  With T_k(x) = c_k part(k_k x),
+    c_k = s_k n_k g_k and the numerator n_k = w_k if freq_numerator else 1,
+    the first-order form is sum_j o_j |F_j(x)|^2 with o_j = w_j g_j and the
+    per-j inner sums F_j = sum_k T_k / (omega0 + w_j + w_k).  The
+    second-order form adds 2 sigma Re sum_k R_k T_k U_k with
+    R_k = sum_j o_j / (omega0 + w_j + w_k) and U_k = sum_l T_l / (w_k + w_l);
+    sigma is +1 for the energy density.
 
-    The second-order form adds 2 sigma sum_k R_k T_k U_k with
-    R_k = sum_j o_j / (omega0 + w_j + w_k) and U_k = sum_l T_l / (w_k + w_l)
-    (sigma as in the module docstring).  sigma is None for the energy
-    density: its gradient (sigma = +1, cos) and kinetic (sigma = -1, sin)
-    factors combine into cos k_k x cos k_l x - sin k_k x sin k_l x =
-    cos((k_k + k_l) x), so its extra term depends on the index sum s = k + l
-    only: 2 sum_s Q_s cos(W[s] x / c) / W[s], Q_s = sum_{k+l=s} R_k c_k c_l.
-    Q is a direct convolution, O(N^2) work in O(N) memory: splitting the
-    cosine into the two trig products loses a digit to their cancellation.
-
-    Both kernels go through their exponential sums (see `kernels`): a first
-    pass over mode blocks projects T and o onto the nodes, a second expands
-    the projections back block by block and reduces them on the spot, so
-    no table is larger than O(N) or one block.  The trig factors of every
-    block after the first are the first block's, rotated (`kernels.phases`).
+    Both kernels go through their exponential sums (see `kernels`),
+    1/(omega0 + w_j + w_k) = sum_r a_r e^{-e_r w_j} e^{-e_r w_k} and
+    1/(w_k + w_l) = sum_r ap_r e^{-ep_r w_k} e^{-ep_r w_l}, so with
+    G(u) = sum_k T_k e^{-u w_k} the first-order form is
+    sum_{r,r'} a_r a_r' conj(G(e_r)) G(e_r') H_rr',
+    H_rr' = sum_j o_j e^{-(e_r + e_r') w_j}, and the second-order term is
+    2 sigma Re sum_{r,r'} a_r P_r ap_r' G(e_r + ep_r') G(ep_r'),
+    P_r = sum_j o_j e^{-e_r w_j}.  Every G, H and P is a geometric sum
+    (`kernels.geometric_sums`) in Z = e^{-u omega1} e^{i pi (L - x) / L}
+    times the cutoff's e^{-omega1 / omega_m}, since
+    (-1)^k e^{i k pi x / L} = e^{-i k pi (L - x) / L}: G is its real part,
+    minus its imaginary part or its conjugate, signs and conjugations that
+    cancel in the products.  So the work is O(r^2) per grid point whatever
+    the mode count.  At most SMALL_MODES modes are
+    summed and reduced per mode instead, from trig tables of k_k x.
     """
     n = len(modes)
-    w = modes.frequencies
-    signs = np.where(modes.indices % 2 == 0, 1.0, -1.0)
-    coef = signs * w * damp if freq_numerator else signs * damp
-    outer = w * damp
-    pair = state == "second_order" and sigma is not None
-
-    # 1/(omega0 + w_j + w_k) and 1/(w_k + w_l) on the index sums they take
     w1 = params.omega1
     e, a = exp_sum(params.omega0 + 2.0 * w1, params.omega0 + 2.0 * n * w1)
     a = a * np.exp(-e * params.omega0)
-    ep, ap = exp_sum(2.0 * w1, 2.0 * n * w1)
-    # the factors' tables and the complex table of `phases`, per mode
-    width = len(e) + len(ep) + (3 * len(trigs) + 2) * xc.size
-    mode_blocks = blocks(n, width)
-    phase = phases(modes.wavenumbers, xc, mode_blocks[0].stop)
+    second = state == "second_order"
+    ep, ap = exp_sum(2.0 * w1, 2.0 * n * w1) if second else (None, None)
+    if n <= SMALL_MODES:
+        vals, terms = _reduce_per_mode(modes, damp, params.c, xc, part,
+                                       freq_numerator, sigma, e, a, ep, ap)
+        return len(e), vals, _condition(vals, terms)
 
-    def trig_table(b):      # T_k(x) of every factor, side by side
-        z = phase(b)
-        parts = {"cos": z.real, "sin": z.imag}
-        return coef[b, None] * np.hstack([parts[trig] for trig in trigs])
+    p, scale = (1, w1) if freq_numerator else (0, 1.0)
+    rate = damping_rate(cutoff)
+    theta = (params.length - xc) * modes.wavenumbers[0]
+    zero = np.zeros(1)
 
-    G = Gp = P = 0.0
-    for b in mode_blocks:
-        E = np.exp(-np.outer(w[b], e))
-        T = trig_table(b)
-        G = G + E.T @ T
-        P = P + outer[b] @ E
-        if pair:
-            Gp = Gp + np.exp(-np.outer(ep, w[b])) @ T
-    G = a[:, None] * G
-    vals = 0.0
-    R = np.empty(n)
-    for b in mode_blocks:
-        E = np.exp(-np.outer(w[b], e))
-        vals = vals + outer[b] @ (E @ G)**2
-        R[b] = E @ (a * P)
-        if pair:
-            U = np.exp(-np.outer(w[b], ep)) @ (ap[:, None] * Gp)
-            vals = vals + 2.0 * sigma * (R[b] @ (trig_table(b) * U))
-    vals = np.reshape(vals, (len(trigs), -1)).sum(axis=0)
-    if state == "second_order" and sigma is None:
-        Q = np.convolve(R * coef, coef) / W     # position s - 2, like W
-        for b in blocks(W.size, xc.size):
-            vals = vals + 2.0 * Q[b] @ np.cos(np.outer(W[b] / params.c, xc))
-    return len(e), vals
+    def G(u, theta, shift=None):    # the part of the sums the profile takes
+        s = geometric_sums(w1 * (u + rate), theta, n, p, shift,
+                           imag=part == "sin")
+        return s.real if part == "cos" else s
+
+    g = G(e, theta) * (scale * a)                               # (X, r)
+    H = w1 * geometric_sums(w1 * (e + rate), zero, n, 1, w1 * e)[0].real
+    vals = np.real(np.conj(g) * (g @ H)).sum(axis=1)
+    g = np.abs(g)
+    terms = (g * (g @ H)).sum(axis=1)
+    if second:
+        aP = scale * a * w1 * geometric_sums(w1 * (e + rate), zero, n, 1)[0].real
+        gp = G(ep, theta) * (scale * ap)
+        for b in blocks(xc.size, 2 * e.size * ep.size):
+            t = (G(e, theta[b], w1 * ep) @ aP) * gp[b]
+            vals[b] += 2.0 * sigma * np.real(t).sum(axis=1)
+            terms[b] += 2.0 * np.abs(t).sum(axis=1)
+    return len(e), vals, _condition(vals, terms)
+
+
+def _reduce_per_mode(modes, damp, c, xc, part, freq_numerator, sigma, e, a,
+                     ep, ap):
+    """The sums of `_contract` per mode j and k, from a table of T_k(x):
+    O(N r) work per grid point.  Returns the values and sum |terms|."""
+    w = modes.frequencies
+    signs = np.where(modes.indices % 2 == 0, 1.0, -1.0)
+    coef = signs * w * damp if freq_numerator else signs * damp
+    kx = np.outer(modes.wavenumbers, xc)
+    T = coef[:, None] * {"cos": np.cos, "sin": np.sin,
+                         "exp": lambda y: np.exp(1j * y)}[part](kx)
+    o = w * damp
+    E = np.exp(-np.outer(w, e))
+    vals = o @ np.abs(E @ (a[:, None] * (E.T @ T)))**2
+    terms = vals.copy()
+    if ep is None:
+        return vals, terms
+    R = E @ (a * (o @ E))
+    if part == "exp":
+        # the energy density's factor pairs as cos((k_k + k_l) x), summed
+        # over index sums s = k + l: its trig products would cancel
+        k = modes.indices
+        Q = np.bincount((k[:, None] + k).ravel(),
+                        np.outer(R * coef, coef).ravel())[2:]
+        ks = np.arange(2, 2 * k.size + 1) * (modes.wavenumbers[0])
+        t = (Q / (c * ks))[:, None] * np.cos(np.outer(ks, xc))
+    else:
+        Ep = np.exp(-np.outer(w, ep))
+        t = R[:, None] * T * (Ep @ (ap[:, None] * (Ep.T @ T)))
+    vals += 2.0 * sigma * t.sum(axis=0)
+    terms += 2.0 * np.abs(t).sum(axis=0)
+    return vals, terms
+
+
+def _condition(vals, terms):
+    """sum |terms| / max |value|, the largest over the grid: roundoff
+    relative to the profile's peak is about eps times this."""
+    return float(np.max(terms) / np.max(np.abs(vals)))
 
 
 def delta_energy_density(params: PhysicalParams, cutoff: CutoffSpec, grid,
@@ -263,11 +306,11 @@ def delta_energy_density(params: PhysicalParams, cutoff: CutoffSpec, grid,
         module docstring).
     """
     x, xc = _cavity_grid(params, grid, origin)
-    n, r, vals = _profile_sum(params, cutoff, n_max, xc,
-                              ("cos", "sin"), True, None, state)
+    n, r, vals, cond = _profile_sum(params, cutoff, n_max, xc, "exp", True,
+                                    1.0, state)
     pre = params.hbar**2 / (2.0 * params.length**3 * params.mass * params.omega0)
     return ObservableProfile("delta_energy_density", x, pre * vals, params,
-                             cutoff, origin, n, state, r)
+                             cutoff, origin, n, state, r, cond)
 
 
 def em_field_fluctuations(params: PhysicalParams, cutoff: CutoffSpec, grid,
@@ -284,12 +327,12 @@ def em_field_fluctuations(params: PhysicalParams, cutoff: CutoffSpec, grid,
         raise UsageError(f"component must be 'E' or 'B', got {component!r}")
     x, xc = _cavity_grid(params, grid, origin)
     trig, sigma = ("sin", -1.0) if component == "E" else ("cos", 1.0)
-    n, r, vals = _profile_sum(params, cutoff, n_max, xc, (trig,), True, sigma,
-                              state)
+    n, r, vals, cond = _profile_sum(params, cutoff, n_max, xc, trig, True,
+                                    sigma, state)
     pre = params.hbar**2 / (params.mass * params.omega0 * params.length**3)
     kind = "e_squared" if component == "E" else "b_squared"
     return ObservableProfile(kind, x, pre * vals, params, cutoff, origin, n,
-                             state, r)
+                             state, r, cond)
 
 
 def delta_phi_squared(params: PhysicalParams, cutoff: CutoffSpec, grid,
@@ -300,9 +343,9 @@ def delta_phi_squared(params: PhysicalParams, cutoff: CutoffSpec, grid,
     n_max and state as in delta_energy_density.
     """
     x, xc = _cavity_grid(params, grid, origin)
-    n, r, vals = _profile_sum(params, cutoff, n_max, xc, ("sin",), False, 1.0,
-                              state)
+    n, r, vals, cond = _profile_sum(params, cutoff, n_max, xc, "sin", False,
+                                    1.0, state)
     pre = (params.hbar**2 * params.c**2
            / (params.length**3 * params.mass * params.omega0))
     return ObservableProfile("delta_phi_squared", x, pre * vals, params,
-                             cutoff, origin, n, state, r)
+                             cutoff, origin, n, state, r, cond)

@@ -16,9 +16,10 @@ from scipy.integrate import quad
 from vacmirror import (CavityTag, ObservableProfile, PhysicalParams, UsageError,
                        coupling_matrix_element, model)
 from vacmirror.continuum import _axis_rule
+from vacmirror.kernels import exp_sum
 from vacmirror.model import _cutoff_factor, mode_tables
 from vacmirror.single_cavity import STATES
-from vacmirror.two_cavity import _check_grid, _sine_tables
+from vacmirror.two_cavity import _check_grid
 
 
 @pytest.fixture(autouse=True)
@@ -190,6 +191,11 @@ def brute_correlation(params, n, x1, x2, omega_m=None):
     return -pre * tot
 
 
+def _sine_tables(modes, damp, xt):
+    """v[p, i] = g_p sin(k_p xt_i), the damped mode functions at each point."""
+    return damp[:, None] * np.sin(np.outer(modes.wavenumbers, xt))
+
+
 DIRECT_KERNEL_BLOCK = 512
 
 
@@ -254,6 +260,55 @@ def longdouble_correlation(params, cutoff, x1, x2, n_max=None, block=256):
         H = h[lo:lo + block, None] + h[None, :]
         total += R1[:, lo:lo + block] @ (K * H) @ R2.T
     return -ld(pre) * total
+
+
+def longdouble_profile(params, cutoff, xc, kind, state, n_max=None):
+    """The profile `kind` ('energy_density', 'E', 'B' or 'phi2') in the
+    form `state` on the cavity-coordinate grid xc, summed in np.longdouble.
+
+    The kernels 1/(omega0 + w_j + w_k) and 1/(w_k + w_l) are the engines'
+    exponential sums (`kernels.exp_sum`), whose float64 nodes and weights
+    are taken as exact.  Everything else is extended precision: the
+    frequencies k pi c / L and the trig factors of the exact phases
+    k pi x / L, with pi to 36 digits, the cutoff weights and every mode
+    sum, contracted per mode as in the defining formulas (see
+    `direct_profile_sum`).  The energy density is its cos and sin parts,
+    the second-order term of the sin part with the opposite sign.
+    """
+    ld = np.longdouble
+    pi = ld("3.14159265358979323846264338327950288")
+    modes, damp, _, _, _ = mode_tables(params, cutoff, n_max)
+    n = len(modes)
+    k = np.arange(1, n + 1, dtype=ld)
+    w = k * (pi * ld(params.c) / ld(params.length))
+    g = (np.exp(-w / ld(cutoff.omega_m)) if cutoff.kind == "exp"
+         else np.ones(n, ld))
+    phase = np.outer(k * pi / ld(params.length), np.asarray(xc, ld))
+    w1 = params.omega1
+    e, a = exp_sum(params.omega0 + 2.0 * w1, params.omega0 + 2.0 * n * w1)
+    e, a = e.astype(ld), a.astype(ld) * np.exp(-e.astype(ld) * ld(params.omega0))
+    ep, ap = (v.astype(ld) for v in exp_sum(2.0 * w1, 2.0 * n * w1))
+    E, Ep = np.exp(-np.outer(w, e)), np.exp(-np.outer(w, ep))
+    o = w * g
+    R = E @ (a * (o @ E))           # R_k = sum_j o_j / (omega0 + w_j + w_k)
+    numer = np.ones(n, ld) if kind == "phi2" else w
+    coef = np.where(modes.indices % 2 == 0, ld(1), ld(-1)) * numer * g
+    parts = {"energy_density": (("cos", 1), ("sin", -1)), "E": (("sin", -1),),
+             "B": (("cos", 1),), "phi2": (("sin", 1),)}[kind]
+    vals = np.zeros(len(xc), ld)
+    for trig, sigma in parts:
+        T = coef[:, None] * {"cos": np.cos, "sin": np.sin}[trig](phase)
+        vals += o @ (E @ (a[:, None] * (E.T @ T)))**2
+        if state == "second_order":
+            U = Ep @ (ap[:, None] * (Ep.T @ T))
+            vals += 2 * sigma * (R @ (T * U))
+    pre = ld(params.hbar)**2 / (ld(params.mass) * ld(params.omega0)
+                               * ld(params.length)**3)
+    if kind == "energy_density":
+        pre = pre / 2
+    elif kind == "phi2":
+        pre = pre * ld(params.c)**2
+    return pre * vals
 
 
 def direct_profile_sum(params, cutoff, n_max, xc, trigs, freq_numerator,

@@ -362,6 +362,19 @@ def test_kernel_nodes_in_sidecar(tmp_path):
         assert again.read_bytes() == out.read_bytes()
 
 
+def test_condition_estimate_in_sidecar(tmp_path):
+    # sum |terms| / max |value| of the node contraction, as an accuracy
+    # estimate: near 1 for these sums, exactly 1 for the correlation, whose
+    # terms are all non-negative; the CSV does not carry it
+    for argv in (["energy-density"], ["em-fluct", "--component", "E"],
+                 ["correlation"]):
+        out = tmp_path / f"{argv[0]}.csv"
+        assert main(argv + ["--m", "20", "--cutoff", "exp:30", "-o", str(out)]) == 0
+        cond = json.loads(open(sidecar_path(str(out))).read())["diag_cond"]
+        assert 0.99 < cond < 10.0
+        assert "cond" not in out.read_text()
+
+
 def test_large_mode_count_runs(tmp_path):
     # exp:1000 omega0 is N = 36842 modes, where N x N tables or the
     # N (N + 1) / 2 pair arrays of the spectrum would take gigabytes

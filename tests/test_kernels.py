@@ -6,7 +6,7 @@ import pytest
 from vacmirror import (CutoffSpec, default_grid, delta_energy_density,
                        em_field_fluctuations, photon_spectrum,
                        squared_field_correlation_discrete)
-from vacmirror.kernels import blocks, exp_sum, phases
+from vacmirror.kernels import exp_sum, geometric_sums
 
 from conftest import params_for_lambda
 
@@ -40,35 +40,37 @@ def test_exp_sum_gauss_tail_at_max_modes():
     assert np.max(np.abs(fit * x - 1.0)) <= 1e-15
 
 
-def test_phases_as_accurate_as_cos_sin():
-    # the rotated table against cos and sin of the exact phase n pi x / L,
-    # taken in np.longdouble: no less accurate than np.cos and np.sin of
-    # the rounded products k_n x, in rms and in max, at N = 184208 modes
-    # (phases up to 5.8e5) on blocks of an engine's size
-    N, L = 184208, 1.0
-    k = np.arange(1, N + 1) * (np.pi / L)
-    x = np.array([0.01, 0.3, 0.5, 0.77, 0.99])
-    mode_blocks = blocks(N, 170)
-    table = phases(k, x, mode_blocks[0].stop)
-    z = np.vstack([table(b) for b in mode_blocks])
-    pi = np.longdouble("3.14159265358979323846264338327950288")
-    exact = np.outer(np.arange(1, N + 1, dtype=np.longdouble) * pi / L,
-                     x.astype(np.longdouble))
-    for part, trig in ((z.real, np.cos), (z.imag, np.sin)):
-        ref = trig(exact)
-        rotated = (part - ref).astype(float)
-        direct = (trig(np.outer(k, x)) - ref).astype(float)
-        assert np.sqrt(np.mean(rotated**2)) <= 1.1 * np.sqrt(np.mean(direct**2))
-        assert np.max(np.abs(rotated)) <= 1.1 * np.max(np.abs(direct))
-
-
-def test_phases_one_block_is_cos_sin():
-    k = np.arange(1, 6) * np.pi
-    x = np.array([0.1, 0.5, 0.9])
-    z = phases(k, x, 5)(slice(0, 5))
-    kx = np.outer(k, x)
-    assert np.array_equal(z.real, np.cos(kx))
-    assert np.array_equal(z.imag, np.sin(kx))
+@pytest.mark.parametrize("n", [1, 3, 65, 7370])
+def test_geometric_sums_match_direct_sums(n):
+    # sum_k k^p Z^k against the terms summed in np.longdouble, with and
+    # without a shift and as imaginary parts: rates and phases from those
+    # summed term by term (n |a| < 2) to large ones, and rates where n^p Z^n
+    # is just above and just below the unit roundoff.  They are dyadic, so
+    # n x and n theta are exact and the closed form's own error shows
+    band = np.round(np.array([38.0, 45.0]) / n * 4096) / 4096
+    d = np.concatenate([2.0 ** np.arange(-30, 2, 4), band])
+    theta = np.concatenate([[0.0], 2.0 ** np.arange(-30, 2, 4), [3.0]])
+    shift = 2.0 ** np.array([-26.0, -12.0, -2.0])
+    k = np.arange(1, n + 1, dtype=np.longdouble)
+    phase = np.outer(k, theta.astype(np.longdouble))
+    cos, sin = np.cos(phase), np.sin(phase)
+    worst = 0.0
+    for p in (0, 1):
+        sums = geometric_sums(d, theta, n, p)
+        shifted = geometric_sums(d, theta, n, p, shift)
+        imag = geometric_sums(d, theta, n, p, shift, imag=True)
+        for i, x in enumerate(d):
+            for j, f in enumerate(np.concatenate([[0.0], shift])):
+                terms = k**p * np.exp(-(np.longdouble(x) + np.longdouble(f)) * k)
+                ref = (terms @ cos).astype(float) + 1j * (terms @ sin).astype(float)
+                if j == 0:
+                    errors = [sums[:, i] - ref]
+                else:
+                    errors = [shifted[:, j - 1, i] - ref,
+                              imag[:, j - 1, i] - ref.imag]
+                for err in errors:
+                    worst = max(worst, np.max(np.abs(err) / np.abs(ref)))
+    assert worst <= 16 * np.finfo(float).eps
 
 
 def test_engines_at_large_mode_count_stay_small():
@@ -80,6 +82,10 @@ def test_engines_at_large_mode_count_stay_small():
     x1 = np.linspace(0.05, 0.95, 10)
     calls = [(lambda: delta_energy_density(p, cut, grid), "values"),
              (lambda: em_field_fluctuations(p, cut, grid, "E"), "values"),
+             (lambda: delta_energy_density(p, cut, grid, state="second_order"),
+              "values"),
+             (lambda: em_field_fluctuations(p, cut, grid, "E",
+                                            state="second_order"), "values"),
              (lambda: squared_field_correlation_discrete(p, cut, x1, 1.0 + x1),
               "values"),
              (lambda: photon_spectrum(p, cut), "weights")]

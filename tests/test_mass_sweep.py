@@ -37,7 +37,7 @@ def _count_contractions(monkeypatch):
     """Record every call of the kernel layer by the profiles and the
     correlation: one or two per contraction, none when a sum is reused."""
     calls = []
-    for mod, name in ((single_cavity, "exp_sum"), (two_cavity, "project")):
+    for mod, name in ((single_cavity, "exp_sum"), (two_cavity, "exp_sum")):
         def counted(*args, _orig=getattr(mod, name), **kwargs):
             calls.append(name)
             return _orig(*args, **kwargs)

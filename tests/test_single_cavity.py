@@ -8,7 +8,7 @@ from vacmirror import (CutoffSpec, PhysicalParams, TruncationSpec, UsageError,
 
 from conftest import (brute_delta_energy_density, brute_delta_phi_squared,
                       brute_em_fluct, brute_second_order_term,
-                      direct_profile_sum, params_for_lambda)
+                      direct_profile_sum, longdouble_profile, params_for_lambda)
 
 GRID = np.array([0.17, 0.42, 0.77])
 
@@ -248,3 +248,41 @@ def test_profiles_match_direct_hankel_sums(state):
         assert prof.n_modes == n == 1990
         ref = scale * vals
         assert np.max(np.abs(prof.values - ref)) <= 1e-13 * np.max(np.abs(ref))
+
+
+# errors relative to peak against `longdouble_profile` at N = 7370 of the
+# mode-block contraction the closed-form geometric sums replaced
+BLOCK_ENGINE_ERRORS = {
+    ("first_order", "energy_density"): 5.7e-13, ("first_order", "E"): 8.5e-13,
+    ("first_order", "B"): 4.6e-13, ("first_order", "phi2"): 5.6e-15,
+    ("second_order", "energy_density"): 1.4e-9, ("second_order", "E"): 4.0e-15,
+    ("second_order", "B"): 1.1e-13, ("second_order", "phi2"): 1.3e-15}
+
+
+@pytest.mark.parametrize("state", ["first_order", "second_order"])
+@pytest.mark.parametrize("kind", ["energy_density", "E", "B", "phi2"])
+def test_profiles_against_extended_precision(kind, state):
+    # N = 7370 (exp:200 omega0) on every tenth point of the default grid,
+    # where the complete energy density's sum cancels heavily: within twice
+    # the error of the block contraction, relative to the peak
+    p = params_for_lambda(0.05, omega0=np.pi)
+    cut = CutoffSpec.exponential(200 * np.pi)
+    grid = default_grid(p)[::10]
+    prof = _profile(kind, p, cut, grid, state=state)
+    assert prof.n_modes == 7370
+    ref = longdouble_profile(p, cut, grid, kind, state).astype(float)
+    err = np.max(np.abs(prof.values - ref)) / np.max(np.abs(ref))
+    assert err <= 2.0 * BLOCK_ENGINE_ERRORS[state, kind]
+
+
+def test_condition_estimate_grows_with_mode_count():
+    # sum |terms| / max |value| of the complete energy density's node
+    # contraction: finite, at least 1, and growing with N as its extra
+    # term cancels more
+    p = params_for_lambda(0.05, omega0=np.pi)
+    grid = default_grid(p)
+    conds = [delta_energy_density(p, CutoffSpec.exponential(m * np.pi), grid,
+                                  state="second_order").cond
+             for m in (5, 20, 200, 1000)]
+    assert np.all(np.isfinite(conds)) and conds[0] > 0.99
+    assert np.all(np.diff(conds) > 0)
