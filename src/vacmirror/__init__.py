@@ -21,9 +21,8 @@ exact-diagonalization oracle:
 Natural units hbar = c = 1 by default; SI values can be supplied via
 `PhysicalParams`.
 
-Importing the package loads numpy only: the continuum quadrature and the
-oracle import scipy inside the functions that use it, so the discrete
-commands start without it.
+Importing the package loads numpy only: the oracle imports scipy inside
+the functions that use it, so every other command runs without it.
 """
 
 from .errors import (CapacityError, ConvergenceError, DegenerateModeSetError,

@@ -15,29 +15,48 @@ a fourfold integral over k in (0, inf)^4 of
 
 Two independent evaluation paths are provided and cross-validated:
 
-- 'partial_analytic': every denominator is written as an exponential
-  integral, which factorizes the four sine transforms into the elementary
-  integral  int_0^inf sin(k x) e^(-a k) dk = x/(x^2+a^2) =: S(x, a).
-  What remains is non-oscillatory:
+- 'partial_analytic': every denominator is written as a Laplace
+  integral, 1/(w0 + y) = int_0^inf dt e^(-w0 t) e^(-t y) and
+  1/y = int_0^inf du e^(-u y), which factorizes the four sine transforms
+  into the elementary integral
+  int_0^inf sin(k x) e^(-a k) dk = x/(x^2+a^2) =: S(x, a).  What remains
+  is non-oscillatory:
 
       T1 = A(xt1) A(xt2),
       A(x)    = int_0^inf dt e^(-w0 t) S(x, c(t + 1/omega_m))^2,
       T2      = int int dt du e^(-w0 t)
                 S(xt1, c(1/omega_m + t + u))^2 S(xt2, c(1/omega_m + u))^2,
-      T3      = T2 with xt1 <-> xt2,
+      T3      = T2 with xt1 <-> xt2.
 
-  A is elementary.  At offset b (c/omega_m in T1, c/omega_m + c u in
-  T2 and T3), with kappa = w0/c and w = kappa (b - i x),
+  The path takes its rules in t and u from the exponential sums of
+  `kernels.exp_sum`: (e, w) for 1/x on [w0, w0 + 60 omega_m], so that
+  1/(w0 + y) = sum_r a_r e^(-e_r y) with a_r = w_r e^(-e_r w0) for
+  0 <= y <= 60 omega_m, and (f, b) for 1/y on
+  [1e-8 c/max(xt1, xt2), 60 omega_m].  Then
 
-      A = (Im I1 / x - Re I2) / (2 c),  I1 = e^w E1(w),
-      I2 = 1/(b - i x) - kappa I1,
+      A(x) = sum_r a_r S(x, c(1/omega_m + e_r))^2,
+      T2   = sum_{r,s} a_r b_s S(xt1, c(1/omega_m + e_r + f_s))^2
+                               S(xt2, c(1/omega_m + f_s))^2,
 
-  and a series in (x/b)^2 where b >= 2x, where those two terms cancel
-  (see _a_closed).  T2 and T3 are then 1-D integrals in u of smooth
-  functions, evaluated by one fixed Gauss-Legendre rule on panels that
-  double from below the smallest to far beyond the largest of the
-  scales xt1/c, xt2/c and 1/w0; a coarser rule on the same panels gives
-  the error estimate.  This path works at any omega_m * xt / c.
+  about 4000 to 17000 node pairs r s, every term positive.  Its error is
+  that of the two fits.  Where y = c K exceeds 60 omega_m the cutoff
+  leaves e^-60 of the integrand, and where y is below
+  1e-8 c/max(xt1, xt2), where the fit of 1/y stops following it, the
+  four sine factors are below 1e-32 of their scale: widening either
+  range moves no value by more than 4e-16.  Inside the ranges each fit
+  is within 1e-15 relative.  The sine transforms could amplify that by
+  their cancellation int |integrand| / |int integrand|, which grows with
+  omega_m xt / c; but the fit error varies on the scale of ln y, far
+  slower than the sines, and cancels with them.  Measured, the sum is
+  within 2.3e-14 of nested adaptive quadrature (tests/conftest.py) at
+  ten points, and within 3.1e-14 (139 eps) of a 64-point Gauss-Legendre
+  rule in u on doubling panels, with A in closed form through
+  e^w E1(w), at about 550 points from omega_m = 2 to 1e5 omega0 and
+  xt = 1e-4 to 3e4 c/omega0, largest in the far field.  So the path
+  reports a constant ERROR_FLOOR = 256 eps (5.7e-14) as its tolerance.
+  It works at any omega_m * xt / c.  It is also the L -> infinity limit
+  of the discrete correlation's V(u, xt) (see `two_cavity`), since
+  (pi/L) sum_p e^(-u w_p) sin(k_p xt) -> S(xt, c u).
 - 'full_quadrature': direct tensor-product Gauss-Legendre quadrature of
   the k integrals on axes truncated where the exponential damping makes
   the tail negligible, with half-wavelength panels and global panel
@@ -123,20 +142,11 @@ ASYMPTOTIC_REGIME_DISTANCE = 5.0   # in units of c/omega0
 DEFAULT_BUDGET = 1e8
 # full_quadrature: the Gauss-Legendre order on each panel of an axis
 GL_AXIS = 6
-# partial_analytic (see _u_rule, _cf, _a_closed): the orders of the fine
-# and coarse rules in u; the radius inside which e^w E1(w) is scipy's
-# exp1 and outside which it is the continued fraction; the fraction's
-# term counts below and above |z| = 6, which reach 3e-16 relative from
-# |w| = 1.5 (n = 1) and z + n = 6 (n >= 4) on; the offset-to-distance
-# ratio from which A is the series in (x/b)^2, and its term count
-# (truncation below 1e-17); and the roundoff floor of the error
-# estimate, above the closed-form A's largest error against a 30-digit
-# reference, 5.3e-15 relative
-GL_FINE, GL_COARSE = 64, 32
-EXP1_RADIUS = 1.5
-CF_TERMS, CF_FAST_RADIUS = (120, 40), 6.0
-SERIES_RATIO, SERIES_TERMS = 2.0, 28
-ROUNDOFF = 32 * np.finfo(float).eps
+# partial_analytic: the exponential sums run up to y = RANGE_TOP omega_m
+# and 1/y down to y = RANGE_BOTTOM c / max(xt1, xt2); the reported
+# relative tolerance (see the module docstring)
+RANGE_TOP, RANGE_BOTTOM = 60.0, 1e-8
+ERROR_FLOOR = 256 * np.finfo(float).eps
 
 
 @dataclass(frozen=True)
@@ -148,7 +158,7 @@ class ContinuumPoint:
     value: float
     rel_tol: float           # achieved relative tolerance estimate
     method: str
-    neval: int = 0           # nodes of the fine and coarse rules in u
+    neval: int = 0           # node pairs r s of the exponential sums
                              # (partial_analytic) or nominal tensor
                              # summands n1^2 n2^2 (full_quadrature)
 
@@ -214,6 +224,44 @@ def far_field_correlation(params: PhysicalParams, xt1: float, xt2: float) -> flo
 # partial-analytic path
 # ---------------------------------------------------------------------------
 
+def _s2(x, a):
+    """S(x, a)^2 with S the half-line sine transform of exp(-a k)."""
+    return (x / (x * x + a * a)) ** 2
+
+
+def _partial_analytic(params, omega_m, xt1, xt2, rel_tol, budget):
+    """(value, ERROR_FLOOR, node pairs) at one point: T1 + T2 + T3 as the
+    exponential sums of the module docstring.  The node pairs are checked
+    against the budget before any term is evaluated."""
+    w0, c = params.omega0, params.c
+    top = RANGE_TOP * omega_m
+    e, a = exp_sum(w0, w0 + top)
+    f, b = exp_sum(RANGE_BOTTOM * c / max(xt1, xt2), top)
+    size = e.size * f.size
+    if size > budget:
+        raise ConvergenceError(
+            f"the partial-analytic sum has {size} node pairs, above its "
+            f"evaluation budget of {budget:.1e}", achieved_rel_tol=math.inf)
+    a = a * np.exp(-e * w0)
+    off = c * (1.0 / omega_m + e)
+    total = np.dot(a, _s2(xt1, off)) * np.dot(a, _s2(xt2, off))
+    inner = off[:, None] + c * f
+    for xa, xb in ((xt1, xt2), (xt2, xt1)):
+        total += a @ (_s2(xa, inner) @ (b * _s2(xb, c * (1.0 / omega_m + f))))
+    pre = params.hbar**3 * c**4 / (math.pi**4 * params.mass * w0)
+    value = float(-pre * total)
+    if ERROR_FLOOR > rel_tol:
+        raise ConvergenceError(
+            f"the partial-analytic sum {value:.17e} is accurate to "
+            f"{ERROR_FLOOR:.2e} relative (requested {rel_tol:.2e})",
+            best_estimate=value, achieved_rel_tol=ERROR_FLOOR)
+    return value, ERROR_FLOOR, size
+
+
+# ---------------------------------------------------------------------------
+# full-quadrature path
+# ---------------------------------------------------------------------------
+
 @functools.cache
 def _gauss(order):
     """Gauss-Legendre nodes and weights on [-1, 1], computed once, read-only."""
@@ -230,167 +278,6 @@ def _panel_rule(edges, xg, wg):
     wts = (half[:, None] * wg[None, :]).ravel()
     return nodes, wts
 
-
-def _s2(x, a):
-    """S(x, a)^2 with S the half-line sine transform of exp(-a k)."""
-    return (x / (x * x + a * a)) ** 2
-
-
-def _cf(z, n):
-    """e^z E_n(z) by its continued fraction, and the fraction's tail t.
-
-    e^z E_n(z) = 1/(z + n - t),  t = 1 n/(z + n + 2 - 2 (n + 1)/(z + n + 4 - ...)),
-    the even contraction of Abramowitz & Stegun 5.1.22 (DLMF 6.9), summed
-    from its last term down; z real or complex with Re z >= 0, n >= 1
-    (scalar or one per z).  CF_TERMS gives the term count inside and
-    outside CF_FAST_RADIUS.
-    """
-    n = np.broadcast_to(n, z.shape)
-    g = np.empty(z.shape, dtype=z.dtype)
-    t = np.empty_like(g)
-    fast = np.abs(z) >= CF_FAST_RADIUS
-    for sel, terms in zip((~fast, fast), CF_TERMS):
-        if not sel.any():
-            continue
-        zs, ns = z[sel], n[sel]
-        ts = np.zeros_like(zs)
-        for i in range(terms, 0, -1):
-            ts = i * (ns + (i - 1)) / (zs + (ns + 2 * i) - ts)
-        g[sel], t[sel] = 1.0 / (zs + ns - ts), ts
-    return g, t
-
-
-def _scaled_en(z, terms):
-    """Rows k = 0..terms-1 of e^z E_{4+2k}(z) for real z > 0.
-
-    The recurrence m E_{m+1} = e^{-z} - z E_m, two steps at a time,
-
-        e^z E_{m+2} = (m - z + z^2 e^z E_m) / (m (m + 1)),
-
-    loses a factor (z/m)^2 of accuracy per step up and (m/z)^2 per step
-    down.  So each column starts where both directions are stable: at
-    m = 2 (e^z E_2 = 1 - z e^z E_1, scipy's exp1) when z < 2, else at the
-    even m* >= z in [4, 2 terms + 2] (the continued fraction), and recurs
-    up and down from there.
-    """
-    from scipy.special import exp1
-    small = z < 2.0
-    top = 2 * terms + 2
-    start = np.where(small, 2.0, np.clip(2.0 * np.ceil(z / 2.0), 4.0, top))
-    anchor = np.empty_like(z)
-    anchor[small] = 1.0 - z[small] * np.exp(z[small]) * exp1(z[small])
-    anchor[~small] = _cf(z[~small], start[~small])[0]
-    z2 = z * z
-    g = np.empty((terms, z.size))
-    prev = np.where(small, anchor, 0.0)
-    for k, m in enumerate(range(4, top + 1, 2)):
-        up = (m - 2 - z + z2 * prev) / ((m - 2) * (m - 1))
-        prev = g[k] = np.where(m > start, up, np.where(m == start, anchor, 0.0))
-    for k, m in reversed(list(enumerate(range(4, top - 1, 2)))):
-        g[k] = np.where(m < start, (m * (m + 1) * g[k + 1] - m + z) / z2, g[k])
-    return g
-
-
-def _a_closed(x, b, kappa, c):
-    """A = int_0^inf dt e^(-w0 t) S(x, b + c t)^2 at arrays x, b, kappa = w0/c, c.
-
-    With beta = b - i x and w = kappa beta,
-
-        A = (Im I1 / x - Re I2) / (2 c),  I1 = e^w E1(w),  I2 = 1/beta - kappa I1.
-
-    e^w E1(w) is scipy's exp1 for |w| < EXP1_RADIUS and the continued
-    fraction beyond, where I2 = kappa (1 - t) I1 / w without cancellation.
-    For b >= SERIES_RATIO x the two terms of A cancel to O((x/b)^2); there
-    (x^2 + s^2)^-2 is expanded in x^2/s^2 under int_b^inf ds e^{-kappa (s - b)}:
-
-        A = x^2/(c b^3) sum_n (n + 1) (-(x/b)^2)^n e^z E_{4+2n}(z),  z = kappa b.
-    """
-    from scipy.special import exp1
-    out = np.empty(x.shape)
-    ser = b >= SERIES_RATIO * x
-    xs, bs = x[ser], b[ser]
-    g = _scaled_en(kappa[ser] * bs, SERIES_TERMS)
-    r2 = -(xs / bs) ** 2
-    acc = np.zeros_like(xs)
-    for n in range(SERIES_TERMS - 1, -1, -1):
-        acc = acc * r2 + (n + 1) * g[n]
-    out[ser] = xs * xs / (c[ser] * bs**3) * acc
-
-    xc, kc = x[~ser], kappa[~ser]
-    beta = b[~ser] - 1j * xc
-    w = kc * beta
-    i1 = np.empty_like(w)
-    i2 = np.empty_like(w)
-    near = np.abs(w) < EXP1_RADIUS
-    i1[near] = np.exp(w[near]) * exp1(w[near])
-    i2[near] = 1.0 / beta[near] - kc[near] * i1[near]
-    i1[~near], t = _cf(w[~near], 1)
-    i2[~near] = kc[~near] * (1.0 - t) * i1[~near] / w[~near]
-    out[~ser] = (i1.imag / xc - i2.real) / (2.0 * c[~ser])
-    return out
-
-
-def _u_rule(w0, c, xt1, xt2, gauss):
-    """Nodes and weights in u on (0, inf) for T2 and T3 of one point.
-
-    The integrands vary on the scales xt1/c, xt2/c and 1/w0.  With s_lo
-    and s_hi the smallest and largest of them over 4, the Gauss rule
-    `gauss` goes on the panels [0, s_lo], [s_lo, 2 s_lo], ... doubling up
-    to U >= 2^13 s_hi, and on (U, inf) through u = U/v, v in (0, 1).
-    """
-    scales = (xt1 / c, xt2 / c, 1.0 / w0)
-    lo, hi = min(scales) / 4.0, max(scales) / 4.0
-    edges = lo * 2.0 ** np.arange(14 + math.ceil(math.log2(hi / lo)))
-    u, w = _panel_rule(np.concatenate(([0.0], edges)), *gauss)
-    v, wv = _panel_rule(np.array([0.0, 1.0]), *gauss)
-    top = edges[-1]
-    return np.concatenate((u, top / v)), np.concatenate((w, wv * top / v**2))
-
-
-def _partial_analytic(params, omega_m, xt1, xt2, rel_tol, budget):
-    """(value, achieved tolerance, rule nodes) at one point.
-
-    T1 + T2 + T3 is summed on a fine and a coarse rule in u; their
-    difference plus ROUNDOFF is the error estimate.  The rule sizes are
-    checked against the budget before any integrand is evaluated.
-    """
-    w0, c = params.omega0, params.c
-    rules = [_u_rule(w0, c, xt1, xt2, _gauss(g)) for g in (GL_FINE, GL_COARSE)]
-    size = sum(u.size for u, _ in rules)
-    if size > budget:
-        raise ConvergenceError(
-            f"the partial-analytic rule needs {size} nodes, above its "
-            f"evaluation budget of {budget:.1e}", achieved_rel_tol=math.inf)
-    # both distances at u = 0 (for T1) and at every node of both rules
-    off = c / omega_m + c * np.concatenate([[0.0]] + [u for u, _ in rules])
-    n = off.size
-    both = np.tile(off, 2)
-    a = _a_closed(np.repeat([xt1, xt2], n), both, np.full(2 * n, w0 / c),
-                  np.full(2 * n, c))
-    f = a * _s2(np.repeat([xt2, xt1], n), both)
-    t1 = a[0] * a[n]
-    lo = 1
-    sums = []
-    for u, w in rules:
-        hi = lo + u.size
-        sums.append(t1 + np.dot(w, f[lo:hi]) + np.dot(w, f[lo + n:hi + n]))
-        lo = hi
-    fine, coarse = sums
-    achieved = (float(abs(fine - coarse) / fine) + ROUNDOFF
-                if fine > 0.0 else math.inf)
-    pre = params.hbar**3 * c**4 / (math.pi**4 * params.mass * w0)
-    value = float(-pre * fine)
-    if achieved > rel_tol:
-        raise ConvergenceError(
-            f"partial-analytic rule reached relative tolerance "
-            f"{achieved:.2e} (requested {rel_tol:.2e}) with {size} nodes",
-            best_estimate=value, achieved_rel_tol=achieved)
-    return value, achieved, size
-
-
-# ---------------------------------------------------------------------------
-# full-quadrature path
-# ---------------------------------------------------------------------------
 
 def _axis_edges(xt, k_max, k_struct, scale):
     """Graded panel edges on (0, k_max) for a sin(k xt) * smooth axis.
@@ -502,17 +389,16 @@ def continuum_correlation(params: PhysicalParams, omega_m: float,
     xt1, xt2 : float
         Distances of the two points from the movable wall (> 0).
     rel_tol : float
-        Requested relative tolerance.  partial_analytic reports its rule
-        difference plus a roundoff floor of 32 eps (7.1e-15), so it
-        reaches about 7e-15 at best and raises ConvergenceError, with its
-        estimate, below what it reached.
+        Requested relative tolerance.  partial_analytic reports its
+        constant error floor of 256 eps (5.7e-14) and raises
+        ConvergenceError, with its value, for a request below it.
     method : {'partial_analytic', 'full_quadrature'}
         Evaluation path; the two agree within their reported tolerances.
     budget : float
-        Cap on the nodes of the fine and coarse rules in u
+        Cap on the node pairs of the two exponential sums
         (partial_analytic, which reports them as neval) or on the nominal
         tensor summands (full_quadrature).  Passing it raises
-        ConvergenceError: partial_analytic checks its rule sizes before
+        ConvergenceError: partial_analytic checks its node pairs before
         it evaluates anything and has no estimate; full_quadrature
         carries the best estimate.
     """

@@ -20,8 +20,10 @@ class DegenerateModeSetError(ParameterError):
 class ConvergenceError(RuntimeError):
     """A quadrature or eigensolve did not reach the requested tolerance.
 
-    Carries the best available estimate and the tolerance actually achieved
-    so sweeps can record partial results instead of aborting.
+    Carries the best available estimate (None when nothing was evaluated)
+    and the tolerance actually achieved, for callers of the library.  The
+    CLI prints the message and exits 3; a sweep stops at its first failing
+    point and writes no CSV, so the points before it are lost too.
     """
 
     def __init__(self, message, best_estimate=None, achieved_rel_tol=None):

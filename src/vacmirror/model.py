@@ -170,7 +170,8 @@ class CutoffSpec:
                 f"{CUTOFF_SCALE_WARN_RATIO:g} * omega0 = "
                 f"{CUTOFF_SCALE_WARN_RATIO * params.omega0:g}; results are "
                 "well-defined but outside the intended regime omega_m >> omega0",
-                # attributed to the caller of the engine: engine -> mode_tables -> here
+                # attributed to the caller of the engine:
+                # engine -> checked_mode_count -> here
                 stacklevel=4,
             )
 
@@ -235,6 +236,21 @@ def mode_count(params: PhysicalParams, cutoff: CutoffSpec,
     return n_max
 
 
+def checked_mode_count(params: PhysicalParams, cutoff: CutoffSpec,
+                       n_max: int | None = None) -> int:
+    """mode_count after the checks every discrete engine makes first: it
+    warns when omega_m is low (check_scale, attributed to the engine's
+    caller, so the engine calls this directly) and raises
+    DegenerateModeSetError when no mode is left."""
+    cutoff.check_scale(params)
+    n = mode_count(params, cutoff, n_max)
+    if n == 0:
+        raise DegenerateModeSetError(
+            f"cutoff omega_m = {cutoff.omega_m:g} leaves no mode to sum over "
+            f"(fundamental frequency {params.omega1:g}, n_max = {n_max})")
+    return n
+
+
 def coupling_matrix_element(params: PhysicalParams, k: int, j: int) -> float:
     """Mirror-field coupling C_kj for mode indices k, j >= 1.
 
@@ -261,31 +277,35 @@ def _cutoff_factor(spec: CutoffSpec, total, largest):
 def damping_rate(spec: CutoffSpec) -> float:
     """The per-mode weight of a factorizing cutoff as a rate: a mode of
     frequency w that the cutoff keeps weighs exp(-w * rate).  1/omega_m for
-    the exponential kind, 0 for the sharp per-mode rule."""
-    return 1.0 / spec.omega_m if spec.kind == "exp" else 0.0
+    the exponential kind, 0 for the sharp per-mode rule; UsageError for the
+    sharp 'total' rule, which does not factorize."""
+    if spec.kind == "exp":
+        return 1.0 / spec.omega_m
+    if spec.sharp_rule == "per_mode":
+        return 0.0
+    raise UsageError(
+        "sharp cutoff with the 'total' rule does not factorize; the "
+        "profiles and the correlation support sharp_rule='per_mode' only")
 
 
 def mode_tables(params: PhysicalParams, cutoff: CutoffSpec, n_max: int | None = None):
-    """Mode set and index-sum tables shared by every discrete mode sum.
+    """Mode set and index-sum tables of the engines that sum mode by mode or
+    index sum by index sum: the energy shift, the pair amplitudes, the
+    spectrum and the profiles up to their SMALL_MODES modes.
 
     The spectrum is equally spaced, w_k = k omega1, so a mode pair (j, k)
     enters every denominator 1/(omega0 + w_j + w_k) through its index sum
-    s = j + k only.  A sharp per-mode cutoff also caps an explicit n_max:
-    modes above omega_m are dropped (see mode_count).
+    s = j + k only.  n_max is a count the caller has checked
+    (checked_mode_count) or None for the cutoff's own.
 
     Returns (modes, damp, g, W, h).  Position s - 2 of the 1-D tables, for
     s = 2 .. 2N, holds the pair frequency W = s omega1, the denominator
     h = 1/(omega0 + W) and the cutoff weight g of a pair with index sum s.
     damp holds the per-mode factors whose products weigh factorized
     summands; it is None for the sharp 'total' rule, which does not
-    factorize.  Raises DegenerateModeSetError when no mode is left.
+    factorize.
     """
-    cutoff.check_scale(params)
     modes = ModeSet.build(params, cutoff, n_max)
-    if len(modes) == 0:
-        raise DegenerateModeSetError(
-            f"cutoff omega_m = {cutoff.omega_m:g} leaves no mode to sum over "
-            f"(fundamental frequency {params.omega1:g}, n_max = {n_max})")
     w = modes.frequencies
     W = params.omega1 * np.arange(2, 2 * len(modes) + 1, dtype=float)
     h = 1.0 / (params.omega0 + W)

@@ -43,7 +43,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import CapacityError, UsageError
-from .model import CutoffSpec, PhysicalParams, mode_count, mode_tables
+from .model import CutoffSpec, PhysicalParams, checked_mode_count, mode_tables
 
 __all__ = [
     "DressedAmplitudes",
@@ -146,8 +146,9 @@ def energy_shift(params: PhysicalParams, cutoff: CutoffSpec,
         Explicit mode count overriding the cutoff-derived size; a sharp
         per-mode cutoff caps it (modes above omega_m are dropped).
     """
-    modes, _, g, _, h = mode_tables(params, cutoff, n_max)
-    M = _pair_index_products(len(modes))
+    n = checked_mode_count(params, cutoff, n_max)
+    _, _, g, _, h = mode_tables(params, cutoff, n)
+    M = _pair_index_products(n)
     pre = params.hbar**2 / (4.0 * params.length**2 * params.mass * params.omega0)
     return float(-pre * params.omega1**2 * np.sum(M * g * h))
 
@@ -162,7 +163,7 @@ def dressed_amplitudes(params: PhysicalParams, cutoff: CutoffSpec,
     CapacityError before allocating when they would take more than
     PAIR_TABLE_LIMIT bytes.
     """
-    n = mode_count(params, cutoff, n_max)
+    n = checked_mode_count(params, cutoff, n_max)
     need = PAIR_BYTES * (n * (n + 1) // 2)
     if need > PAIR_TABLE_LIMIT:
         raise CapacityError(
@@ -170,7 +171,7 @@ def dressed_amplitudes(params: PhysicalParams, cutoff: CutoffSpec,
             f"{need / 2**30:.1f} GiB, above the limit of "
             f"{PAIR_TABLE_LIMIT / 2**30:g} GiB; use energy_shift or "
             "photon_spectrum, which work on index sums in O(N)")
-    modes, _, g, _, h = mode_tables(params, cutoff, n_max)
+    modes, _, g, _, h = mode_tables(params, cutoff, n)
     rows, cols = np.triu_indices(len(modes))
     kk, jj = modes.indices[rows], modes.indices[cols]
     s = rows + cols                      # position of the pair's index sum
@@ -204,14 +205,15 @@ def photon_spectrum(params: PhysicalParams, cutoff: CutoffSpec,
         bin_width = params.omega0 / 20.0
     if not bin_width > 0:
         raise UsageError(f"bin_width must be positive, got {bin_width}")
-    modes, _, g, W, h = mode_tables(params, cutoff, n_max)
+    n = checked_mode_count(params, cutoff, n_max)
+    _, _, g, W, h = mode_tables(params, cutoff, n)
     span = float(W[-1] - W[0])
     if span > 0 and bin_width > span:
         raise UsageError(
             f"bin_width {bin_width:g} exceeds the spectral range {span:g}")
     pre = 2.0 * params.hbar * params.omega1**2 / (
         8.0 * params.mass * params.omega0 * params.length**2)
-    w = pre * _pair_index_products(len(modes)) * (h * g)**2
+    w = pre * _pair_index_products(n) * (h * g)**2
     bins = (span + 1e-12 * max(span, 1.0)) / bin_width if span > 0 else 1.0
     if bins > MAX_BINS:
         raise CapacityError(

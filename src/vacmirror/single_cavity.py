@@ -64,7 +64,7 @@ shared with the correlation).  The key is everything else the sum depends
 on: omega0, L, hbar, c, the cutoff (kind, omega_m, rule), n_max, the
 exact bytes of the cavity-coordinate grid, the trig factors, the
 frequency numerator, sigma and the state.  The grid checks, the mode
-tables (with their errors and the low-cutoff warning) and the prefactor
+count (with its errors and the low-cutoff warning) and the prefactor
 run on every call; a mass sweep contracts the kernels once, and every
 point is bit-identical to a call on its own.
 
@@ -83,8 +83,8 @@ import numpy as np
 
 from .errors import UsageError
 from .kernels import blocks, exp_sum, geometric_sums
-from .model import (CutoffSpec, PhysicalParams, damping_rate, mass_free_sum,
-                    mode_tables)
+from .model import (CutoffSpec, PhysicalParams, checked_mode_count,
+                    damping_rate, mass_free_sum, mode_tables)
 
 __all__ = [
     "ObservableProfile",
@@ -157,27 +157,22 @@ def _cavity_grid(params, grid, origin):
     return x, xc
 
 
-def _profile_sum(params, cutoff, n_max, xc, part, freq_numerator, sigma,
+def _profile_sum(params, cutoff, n_max, n, xc, part, freq_numerator, sigma,
                  state):
-    """Mode count, kernel node count, the profile's mode sum on the grid xc
+    """Kernel node count, the profile's mode sum over n modes on the grid xc
     and its condition estimate; the sum is reused across masses (see
     `model.mass_free_sum`)."""
     if state not in STATES:
         raise UsageError(f"state must be one of {STATES}, got {state!r}")
-    modes, damp, _, _, _ = mode_tables(params, cutoff, n_max)
-    if damp is None:
-        raise UsageError(
-            "sharp cutoff with the 'total' rule does not factorize; "
-            "the profiles support sharp_rule='per_mode' only")
-    r, vals, cond = mass_free_sum(
+    rate = damping_rate(cutoff)
+    return mass_free_sum(
         params, ("profile", cutoff, n_max, xc, part, freq_numerator, sigma,
                  state),
-        lambda: _contract(params, cutoff, modes, damp, xc, part,
-                          freq_numerator, sigma, state))
-    return len(modes), r, vals, cond
+        lambda: _contract(params, cutoff, n, rate, xc, part, freq_numerator,
+                          sigma, state))
 
 
-def _contract(params, cutoff, modes, damp, xc, part, freq_numerator, sigma,
+def _contract(params, cutoff, n, rate, xc, part, freq_numerator, sigma,
               state):
     """Kernel node count, the profile's mode sum on the grid xc and its
     condition estimate sum |terms| / max |value|.
@@ -205,23 +200,23 @@ def _contract(params, cutoff, modes, damp, xc, part, freq_numerator, sigma,
     (-1)^k e^{i k pi x / L} = e^{-i k pi (L - x) / L}: G is its real part,
     minus its imaginary part or its conjugate, signs and conjugations that
     cancel in the products.  So the work is O(r^2) per grid point whatever
-    the mode count.  At most SMALL_MODES modes are
-    summed and reduced per mode instead, from trig tables of k_k x.
+    the mode count, and no per-mode array is built.  At most SMALL_MODES
+    modes are summed and reduced per mode instead, from trig tables of
+    k_k x.
     """
-    n = len(modes)
     w1 = params.omega1
     e, a = exp_sum(params.omega0 + 2.0 * w1, params.omega0 + 2.0 * n * w1)
     a = a * np.exp(-e * params.omega0)
     second = state == "second_order"
     ep, ap = exp_sum(2.0 * w1, 2.0 * n * w1) if second else (None, None)
     if n <= SMALL_MODES:
+        modes, damp, _, _, _ = mode_tables(params, cutoff, n)
         vals, terms = _reduce_per_mode(modes, damp, params.c, xc, part,
                                        freq_numerator, sigma, e, a, ep, ap)
         return len(e), vals, _condition(vals, terms)
 
     p, scale = (1, w1) if freq_numerator else (0, 1.0)
-    rate = damping_rate(cutoff)
-    theta = (params.length - xc) * modes.wavenumbers[0]
+    theta = (params.length - xc) * (np.pi / params.length)
     zero = np.zeros(1)
 
     def G(u, theta, shift=None):    # the part of the sums the profile takes
@@ -306,8 +301,9 @@ def delta_energy_density(params: PhysicalParams, cutoff: CutoffSpec, grid,
         module docstring).
     """
     x, xc = _cavity_grid(params, grid, origin)
-    n, r, vals, cond = _profile_sum(params, cutoff, n_max, xc, "exp", True,
-                                    1.0, state)
+    n = checked_mode_count(params, cutoff, n_max)
+    r, vals, cond = _profile_sum(params, cutoff, n_max, n, xc, "exp", True,
+                                 1.0, state)
     pre = params.hbar**2 / (2.0 * params.length**3 * params.mass * params.omega0)
     return ObservableProfile("delta_energy_density", x, pre * vals, params,
                              cutoff, origin, n, state, r, cond)
@@ -327,8 +323,9 @@ def em_field_fluctuations(params: PhysicalParams, cutoff: CutoffSpec, grid,
         raise UsageError(f"component must be 'E' or 'B', got {component!r}")
     x, xc = _cavity_grid(params, grid, origin)
     trig, sigma = ("sin", -1.0) if component == "E" else ("cos", 1.0)
-    n, r, vals, cond = _profile_sum(params, cutoff, n_max, xc, trig, True,
-                                    sigma, state)
+    n = checked_mode_count(params, cutoff, n_max)
+    r, vals, cond = _profile_sum(params, cutoff, n_max, n, xc, trig, True,
+                                 sigma, state)
     pre = params.hbar**2 / (params.mass * params.omega0 * params.length**3)
     kind = "e_squared" if component == "E" else "b_squared"
     return ObservableProfile(kind, x, pre * vals, params, cutoff, origin, n,
@@ -343,8 +340,9 @@ def delta_phi_squared(params: PhysicalParams, cutoff: CutoffSpec, grid,
     n_max and state as in delta_energy_density.
     """
     x, xc = _cavity_grid(params, grid, origin)
-    n, r, vals, cond = _profile_sum(params, cutoff, n_max, xc, "sin", False,
-                                    1.0, state)
+    n = checked_mode_count(params, cutoff, n_max)
+    r, vals, cond = _profile_sum(params, cutoff, n_max, n, xc, "sin", False,
+                                 1.0, state)
     pre = (params.hbar**2 * params.c**2
            / (params.length**3 * params.mass * params.omega0))
     return ObservableProfile("delta_phi_squared", x, pre * vals, params,

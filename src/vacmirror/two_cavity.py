@@ -56,8 +56,8 @@ import numpy as np
 
 from .errors import UsageError
 from .kernels import blocks, exp_sum, geometric_sums
-from .model import (CutoffSpec, PhysicalParams, damping_rate, mass_free_sum,
-                    mode_tables)
+from .model import (CutoffSpec, PhysicalParams, checked_mode_count,
+                    damping_rate, mass_free_sum)
 
 __all__ = [
     "CorrelationGrid",
@@ -101,13 +101,14 @@ def _check_grid(name, x, lo, hi):
     return x
 
 
-def _correlation_sum(params, cutoff, n, xt1, xt2):
+def _correlation_sum(params, n, rate, xt1, xt2):
     """Kernel node count and the mass-free sum of the three structures at
     every (xt1, xt2) pair of distances from the movable wall.
 
-    With V(u, xt) = sum_p g_p sin(k_p xt) e^{-u w_p}, the imaginary part of
-    a geometric sum (`kernels.geometric_sums`), and the exponential sums
-    (eh, ah) of 1/(omega0 + W) and (e, a) of 1/(W_t + W_u) on the totals
+    With V(u, xt) = sum_p g_p sin(k_p xt) e^{-u w_p} over n modes, damped
+    by g_p = e^{-w_p rate}, the imaginary part of a geometric sum
+    (`kernels.geometric_sums`), and the exponential sums (eh, ah) of
+    1/(omega0 + W) and (e, a) of 1/(W_t + W_u) on the totals
     4 omega1 .. 4 N omega1 it takes, each cavity's point gives
     q = sum_s ah_s V(eh_s)^2, B_r = V(e_r)^2 and
     H_r = sum_s ah_s V(e_r + eh_s)^2, and the sum is
@@ -117,11 +118,11 @@ def _correlation_sum(params, cutoff, n, xt1, xt2):
     eh, ah = exp_sum(params.omega0 + 2.0 * w1, params.omega0 + 2.0 * n * w1)
     ah = ah * np.exp(-eh * params.omega0)
     e, a = exp_sum(4.0 * w1, 4.0 * n * w1)
-    rate = w1 * damping_rate(cutoff)
+    damp = w1 * rate
     theta = np.concatenate([xt1, xt2]) * (np.pi / params.length)
 
     def v2(u, theta, shift=None):       # V^2, one column per node
-        return geometric_sums(w1 * u + rate, theta, n, 0, shift, imag=True)**2
+        return geometric_sums(w1 * u + damp, theta, n, 0, shift, imag=True)**2
 
     V2 = v2(np.concatenate([eh, e]), theta)
     q, B = V2[:, :eh.size] @ ah, V2[:, eh.size:]
@@ -159,14 +160,11 @@ def squared_field_correlation_discrete(params: PhysicalParams, cutoff: CutoffSpe
     L = params.length
     x1 = _check_grid("x1_grid", x1_grid, 0.0, L)
     x2 = _check_grid("x2_grid", x2_grid, L, 2.0 * L)
-    modes, damp, _, _, _ = mode_tables(params, cutoff, n_max)
-    if damp is None:
-        raise UsageError(
-            "sharp cutoff with the 'total' rule does not factorize; "
-            "the correlation engine supports sharp_rule='per_mode' only")
+    n = checked_mode_count(params, cutoff, n_max)
+    rate = damping_rate(cutoff)
     r, total = mass_free_sum(
         params, ("correlation", cutoff, n_max, x1, x2),
-        lambda: _correlation_sum(params, cutoff, len(modes), L - x1, x2 - L))
+        lambda: _correlation_sum(params, n, rate, L - x1, x2 - L))
     pre = (params.hbar**3 * params.c**4
            / (L**4 * params.mass * params.omega0))
     values = -pre * total
@@ -181,7 +179,7 @@ def squared_field_correlation_discrete(params: PhysicalParams, cutoff: CutoffSpe
             raise UsageError(msg)
         warnings.warn(msg, stacklevel=2)
     return CorrelationGrid(x1, x2, values, "discrete_sum", params, cutoff,
-                           len(modes), r)
+                           n, r)
 
 
 def phi_phi_cross_correlation(params: PhysicalParams, cutoff: CutoffSpec,

@@ -13,8 +13,9 @@ import scipy.sparse as sp
 from numpy.lib.stride_tricks import sliding_window_view
 from scipy.integrate import quad
 
-from vacmirror import (CavityTag, ObservableProfile, PhysicalParams, UsageError,
-                       coupling_matrix_element, model)
+from vacmirror import (CavityTag, CutoffSpec, ObservableProfile, PhysicalParams,
+                       UsageError, coupling_matrix_element, model,
+                       squared_field_correlation_discrete)
 from vacmirror.continuum import _axis_rule
 from vacmirror.kernels import exp_sum
 from vacmirror.model import _cutoff_factor, mode_tables
@@ -423,6 +424,22 @@ def nested_quad_continuum(params, omega_m, xt1, xt2, rel_tol=1e-10):
              + b_integral(xt1, xt2, eps) + b_integral(xt2, xt1, eps))
     pre = params.hbar**3 * c**4 / (math.pi**4 * params.mass * w0)
     return -pre * total
+
+
+def cavity_limit_values(omega_m, xt1, xt2, lengths):
+    """The discrete correlation at distances xt1, xt2 from the movable wall
+    (x1 = L - xt1, x2 = L + xt2) for each cavity length L, with
+    hbar = c = m = omega0 = 1 and the exponential cutoff omega_m.
+
+    As L grows at fixed distances the mode sums become the wavenumber
+    integrals of the continuum (mode density L/pi per axis), so these
+    values tend to `continuum_correlation` at the same point.
+    """
+    cutoff = CutoffSpec.exponential(omega_m)
+    return np.array([
+        squared_field_correlation_discrete(
+            PhysicalParams(1.0, 1.0, L), cutoff, [L - xt1], [L + xt2]).values[0, 0]
+        for L in lengths])
 
 
 def cutoff_weight(spec, freqs) -> float:

@@ -445,14 +445,18 @@ def _cold_python(code, cwd, packages=("scipy",)):
 
 
 def test_cold_start_loads_no_scipy(tmp_path):
-    # the discrete commands and the closed-form scaling laws need numpy only
+    # the discrete commands, both continuum paths and every scaling law
+    # need numpy only
     runs = ["['energy-shift', '-o', 'de.csv']",
             "['spectrum', '-o', 'sp.csv']",
             "['energy-density', '--grid', '0.1:0.9:5', '-o', 'ed.csv']",
             "['em-fluct', '--component', 'E', '--grid', '0.1:0.9:5', '-o', 'em.csv']",
             "['correlation', '--x1-grid', '0.2:0.8:3', '--x2-grid', '1.2:1.8:3', '-o', 'co.csv']",
             "['scaling', '--quantity', 'asymptotic', '--axis', 'mass', '--points', '1,2,4', '-o', 'sa.csv']",
-            "['scaling', '--quantity', 'far_field', '--axis', 'distance', '--points', '20,40,80', '-o', 'sf.csv']"]
+            "['scaling', '--quantity', 'far_field', '--axis', 'distance', '--points', '20,40,80', '-o', 'sf.csv']",
+            "['continuum', '--omega-m', '12', '--xt1', '0.1', '--xt2', '0.08', '--method', 'partial_analytic', '-o', 'c.csv']",
+            "['continuum', '--omega-m', '12', '--xt1', '0.1', '--xt2', '0.08', '--method', 'full_quadrature', '-o', 'cf.csv']",
+            "['scaling', '--quantity', 'continuum', '--axis', 'distance', '--points', '1,2,4', '-o', 'sc.csv']"]
     for code in ("import vacmirror",
                  "from vacmirror import cli; cli.build_parser()",
                  "from vacmirror import cli\n" + "".join(
@@ -473,17 +477,7 @@ def test_cold_start_loads_no_fractions_or_decimal(tmp_path):
 
 
 def test_cold_start_scipy_commands_run(tmp_path):
-    # the continuum paths and the oracle load scipy on first use; the
-    # closed-form partial_analytic path needs scipy.special (exp1) but no
-    # quadrature, and continuum scaling evaluates it the same way
-    for argv in ("['continuum', '--omega-m', '12', '--xt1', '0.1', '--xt2', '0.08',"
-                 " '--method', 'partial_analytic', '-o', 'c.csv']",
-                 "['scaling', '--quantity', 'continuum', '--axis', 'distance',"
-                 " '--points', '1,2,4', '-o', 'sc.csv']"):
-        loaded = _cold_python(
-            f"from vacmirror import cli\nassert cli.main({argv}) == 0", tmp_path)
-        assert "scipy.special" in loaded
-        assert "scipy.integrate" not in loaded
+    # the oracle loads scipy on first use
     loaded = _cold_python(
         "from vacmirror import cli\n"
         "assert cli.main(['oracle-validate', '--cavities', '2', '-o', 'o.csv']) == 0",

@@ -12,7 +12,8 @@ from vacmirror import (ConvergenceError, CutoffSpec, PhysicalParams,
                        continuum_correlation, far_field_correlation,
                        scaling_probe, squared_field_correlation_discrete)
 
-from conftest import direct_full_level, nested_quad_continuum
+from conftest import (cavity_limit_values, direct_full_level,
+                      nested_quad_continuum)
 
 # frozen from an independent 30-digit evaluation of 1/(2^9 pi^4)
 ASYM_UNIT = -2.0050746591180342e-05
@@ -91,8 +92,8 @@ def test_full_quadrature_budget_failure(params_unit):
 
 
 def test_partial_analytic_budget_stops_work(params_unit, monkeypatch):
-    # the budget is checked against the rule's node count before any
-    # integrand (_s2 or the closed-form A) is evaluated
+    # the budget is checked against the exponential sums' node pairs
+    # before any term (_s2) is evaluated
     calls = []
     s2 = continuum._s2
     monkeypatch.setattr(continuum, "_s2", lambda x, a: calls.append(1) or s2(x, a))
@@ -209,6 +210,22 @@ def test_discrete_sum_converges_to_continuum(params_unit):
     assert gaps[2] < 0.005
 
 
+@pytest.mark.parametrize("wm, xt1, xt2, L0", [(10.0, 0.5, 0.7, 160.0),
+                                              (30.0, 0.1, 0.2, 80.0)])
+def test_cavity_limit_matches_continuum(params_unit, wm, xt1, xt2, L0):
+    # the finite-cavity sums share no integral representation with the
+    # continuum path: their error falls as L^-2 (a factor 4 per doubling,
+    # which a wrong prefactor or sign would break), then as L^-4, so two
+    # Richardson steps on L0, 2 L0 and 4 L0 land on the continuum value
+    vals = cavity_limit_values(wm, xt1, xt2, (L0, 2.0 * L0, 4.0 * L0))
+    cont = continuum_correlation(params_unit, wm, xt1, xt2, rel_tol=1e-12).value
+    err = vals - cont
+    assert np.all(np.abs(err[:-1] / err[1:] - 4.0) <= 0.05), err
+    once = (4.0 * vals[1:] - vals[:-1]) / 3.0
+    twice = (16.0 * once[1] - once[0]) / 15.0
+    assert abs(twice - cont) <= 1e-12 * abs(cont)
+
+
 def test_continuum_large_distance_tail_regression(params_unit):
     # frozen behaviour: at large equal distances the full correlation
     # decays with log-slope near -3 (the cross structures' soft total-pair
@@ -313,9 +330,9 @@ def test_continuum_rejects_nan_budget(params_unit, method):
 
 
 def test_partial_analytic_tolerance_below_quad_floor(params_unit):
-    # the error estimate has a roundoff floor of 32 eps; the
-    # achieved-tolerance check accepts what was reached and fails an
-    # unreachable request with its best estimate
+    # the reported tolerance is a constant floor of 256 eps; the
+    # achieved-tolerance check accepts a request above it and fails an
+    # unreachable one with its best estimate
     ref = continuum_correlation(params_unit, 10.0, 1.0, 1.0, rel_tol=1e-10).value
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")  # quad's roundoff warnings
@@ -328,68 +345,11 @@ def test_partial_analytic_tolerance_below_quad_floor(params_unit):
     assert 1e-16 < exc.value.achieved_rel_tol < 1e-12
 
 
-def _a_by_quad(x, b, w0, c):
-    """A(x) at offset b by scipy's quad, split where the integrand changes
-    scale: at the offset (x + b)/c and at 1/w0 and 30/w0."""
-    f = lambda t: math.exp(-w0 * t) * (x / (x * x + (b + c * t) ** 2)) ** 2
-    edges = [0.0] + sorted({(x + b) / c, 1.0 / w0, 30.0 / w0}) + [np.inf]
-    return math.fsum(quad(f, lo, hi, epsabs=0.0, epsrel=2e-14, limit=200)[0]
-                     for lo, hi in zip(edges[:-1], edges[1:]))
-
-
-def test_closed_form_a_matches_quad():
-    # the closed form, its continued-fraction branch and the series in
-    # (x/b)^2 beyond b = 2x, with offsets on both sides of that seam
-    p = PhysicalParams(mass=2.0, omega0=2.5, length=1.0, hbar=0.7, c=1.3)
-    scale = p.c / p.omega0
-    xt = np.array([0.05, 0.3, 1.0, 1.3, 4.5, 7.0, 40.0])
-    offsets = np.array([0.0, 0.01, 0.1, 0.5, 1.0, 2.0, 5.0, 30.0, 100.0, 1e3])
-    x = np.concatenate((np.repeat(xt, offsets.size), xt, xt)) * scale
-    # offset + c/omega_m at omega_m = 1e3 omega0; then b = 2x from just below
-    # and just above
-    b = np.concatenate((np.tile(offsets + 1e-3, xt.size) * scale,
-                        2.0 * (1.0 - 1e-9) * xt * scale,
-                        2.0 * (1.0 + 1e-9) * xt * scale))
-    got = continuum._a_closed(x, b, np.full_like(x, p.omega0 / p.c),
-                              np.full_like(x, p.c))
-    ref = np.array([_a_by_quad(xi, bi, p.omega0, p.c) for xi, bi in zip(x, b)])
-    assert np.max(np.abs(got / ref - 1.0)) <= 1e-13
-
-
-def test_exp1_branches_agree():
-    # e^w E1(w) by scipy's exp1 and by the continued fraction for
-    # 25 <= |w| <= 35, on and near the imaginary axis.  scipy's product
-    # e^w * exp1(w) is itself up to 1.1e-15 off a 30-digit reference there
-    # (the fraction 4.6e-16), so the two agree to 2e-15, not 1e-15
-    from scipy.special import exp1
-    near = np.pi / 2 - np.array([1e-9, 1e-6, 1e-3, 1e-2, 0.1])
-    angle = np.concatenate((np.linspace(-np.pi / 2, np.pi / 2, 61), near, -near))
-    w = (np.linspace(25.0, 35.0, 41)[:, None] * np.exp(1j * angle)).ravel()
-    cf, _ = continuum._cf(w, 1)
-    assert np.max(np.abs(cf / (np.exp(w) * exp1(w)) - 1.0)) <= 2e-15
-
-
-def test_exp1_branch_seams(monkeypatch):
-    # where the evaluation switches: scipy's exp1 to the continued fraction
-    # at |w| = 1.5 (scipy's power series is good to about 5e-15 there), and
-    # 120 to 40 terms of the fraction at |w| = 6
-    from scipy.special import exp1
-    angle = np.linspace(-np.pi / 2, np.pi / 2, 73)
-    w = continuum.EXP1_RADIUS * np.exp(1j * angle)
-    cf, _ = continuum._cf(w, 1)
-    assert np.max(np.abs(cf / (np.exp(w) * exp1(w)) - 1.0)) <= 1e-14
-    w = continuum.CF_FAST_RADIUS * np.exp(1j * angle)
-    short, _ = continuum._cf(w, 1)
-    monkeypatch.setattr(continuum, "CF_FAST_RADIUS", math.inf)
-    long, _ = continuum._cf(w, 1)
-    assert np.max(np.abs(short / long - 1.0)) <= 5e-16
-
-
 # (omega0, c, omega_m, xt1, xt2): seven points from the near field to
-# 40 c/omega0, one of them at non-unit omega0 and c,
-# two widely separated points where a rule in u spanning only the largest
-# scale is off by 8.1e-7 (the first) or cannot certify 1e-12 (the
-# second), and both distances at a tenth of c/omega_m
+# 40 c/omega0, one of them at non-unit omega0 and c, two with distances
+# three and five decades apart, where 1/y must be followed from
+# 1e-8 c/max(xt) up over every scale of both cavities, and both distances
+# at a tenth of c/omega_m
 NESTED_QUAD_POINTS = [
     (1.0, 1.0, 10.0, 0.1, 0.12), (1.0, 1.0, 15.0, 0.15, 0.15),
     (1.0, 1.0, 1.0, 0.5, 0.5), (1.0, 1.0, 1e3, 5.0, 5.0),
@@ -408,6 +368,7 @@ def test_partial_analytic_matches_nested_quad(omega0, c, wm, xt1, xt2):
         ref = nested_quad_continuum(p, wm, xt1, xt2, rel_tol=1e-10)
     got = continuum_correlation(p, wm, xt1, xt2, rel_tol=1e-12)
     assert abs(got.value - ref) <= 1e-12 * abs(ref)
+    assert abs(got.value - ref) <= got.rel_tol * abs(ref)
 
 
 @pytest.mark.parametrize("axis, points", [("mass", [1.0, 2.0, 4.0]),

@@ -98,3 +98,21 @@ def test_engines_at_large_mode_count_stay_small():
             tracemalloc.stop()
         assert peak < 64 * 2**20
         assert np.all(np.isfinite(getattr(out, field)))
+
+
+def test_closed_form_engines_build_no_mode_tables():
+    # exp:5000 omega0 is N = 184208 modes: the profiles and the correlation
+    # need only the count, and their O(N) mode and index-sum tables alone
+    # would take 18 MiB
+    p = params_for_lambda(0.05, omega0=np.pi)
+    cut = CutoffSpec.exponential(5000 * np.pi)
+    for call in (lambda: delta_energy_density(p, cut, default_grid(p)),
+                 lambda: squared_field_correlation_discrete(p, cut, [0.5], [1.5])):
+        tracemalloc.start()
+        try:
+            out = call()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert out.n_modes == 184208
+        assert peak < 4 * 2**20

@@ -6,8 +6,9 @@ import pytest
 from vacmirror import (CapacityError, CavityTag, CutoffSpec,
                        DegenerateModeSetError, ModeSet, ParameterError,
                        PhysicalParams, UsageError, coupling_matrix_element,
-                       delta_energy_density, energy_shift,
-                       squared_field_correlation_discrete)
+                       delta_energy_density, delta_phi_squared,
+                       dressed_amplitudes, em_field_fluctuations, energy_shift,
+                       photon_spectrum, squared_field_correlation_discrete)
 
 from conftest import cutoff_weight, two_cavity_coupling
 
@@ -126,6 +127,23 @@ def test_cutoff_weight_usage_errors():
 def test_low_cutoff_warns(params_unit):
     with pytest.warns(UserWarning, match="omega_m"):
         CutoffSpec.exponential(2.0).check_scale(params_unit)
+
+
+@pytest.mark.parametrize("engine", [
+    lambda p, cut: energy_shift(p, cut),
+    lambda p, cut: dressed_amplitudes(p, cut),
+    lambda p, cut: photon_spectrum(p, cut),
+    lambda p, cut: delta_energy_density(p, cut, [0.5]),
+    lambda p, cut: em_field_fluctuations(p, cut, [0.5], "B"),
+    lambda p, cut: delta_phi_squared(p, cut, [0.5]),
+    lambda p, cut: squared_field_correlation_discrete(p, cut, [0.5], [1.5]),
+], ids=["energy_shift", "dressed_amplitudes", "photon_spectrum",
+        "delta_energy_density", "em_field_fluctuations", "delta_phi_squared",
+        "correlation"])
+def test_low_cutoff_warning_points_at_engine_caller(params_unit, engine):
+    with pytest.warns(UserWarning, match="omega_m") as record:
+        engine(params_unit, CutoffSpec.exponential(2.0))
+    assert [w.filename for w in record] == [__file__]
 
 
 def test_mode_set(params_unit):
