@@ -241,7 +241,8 @@ def _partial_analytic(params, omega_m, xt1, xt2, rel_tol, budget):
     if size > budget:
         raise ConvergenceError(
             f"the partial-analytic sum has {size} node pairs, above its "
-            f"evaluation budget of {budget:.1e}", achieved_rel_tol=math.inf)
+            f"evaluation budget of {budget:.1e} (no estimate)",
+            achieved_rel_tol=math.inf)
     a = a * np.exp(-e * w0)
     off = c * (1.0 / omega_m + e)
     total = np.dot(a, _s2(xt1, off)) * np.dot(a, _s2(xt2, off))
@@ -352,10 +353,12 @@ def _full_quadrature(params, omega_m, xt1, xt2, rel_tol, budget):
         total, cost = _full_level(params, omega_m, xt1, xt2, k_max, k_struct,
                                   scale, budget, neval)
         if total is None:
+            estimate = ("no estimate" if prev is None
+                        else f"best estimate {prev:.17e}")
             raise ConvergenceError(
                 f"full-quadrature refinement would exceed the evaluation "
-                f"budget {budget:.1e} (achieved tolerance {achieved:.2e}, "
-                f"requested {rel_tol:.2e})",
+                f"budget {budget:.1e} ({estimate}, achieved tolerance "
+                f"{achieved:.2e}, requested {rel_tol:.2e})",
                 best_estimate=prev, achieved_rel_tol=achieved)
         neval += cost
         value = -pre * total

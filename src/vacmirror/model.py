@@ -290,8 +290,8 @@ def damping_rate(spec: CutoffSpec) -> float:
 
 def mode_tables(params: PhysicalParams, cutoff: CutoffSpec, n_max: int | None = None):
     """Mode set and index-sum tables of the engines that sum mode by mode or
-    index sum by index sum: the energy shift, the pair amplitudes, the
-    spectrum and the profiles up to their SMALL_MODES modes.
+    index sum by index sum: the energy shift, the pair amplitudes and the
+    spectrum.
 
     The spectrum is equally spaced, w_k = k omega1, so a mode pair (j, k)
     enters every denominator 1/(omega0 + w_j + w_k) through its index sum

@@ -260,8 +260,11 @@ def ground_state(model: OracleModel, solver_tol: float = 1e-12) -> OracleResult:
                                      maxiter=10_000, v0=v0)
             except ArpackNoConvergence as exc:
                 est = float(exc.eigenvalues[0]) if len(exc.eigenvalues) else None
-                raise ConvergenceError(f"eigensolver did not converge: {exc}",
-                                       best_estimate=est) from exc
+                estimate = ("no estimate" if est is None
+                            else f"best estimate {est:.17e}")
+                raise ConvergenceError(
+                    f"eigensolver did not converge ({estimate}): {exc}",
+                    best_estimate=est) from exc
         if best is None or evals[0] < best[0] - tie:
             best = (float(evals[0]), idx, evecs[:, 0])
     e0, idx, sub = best

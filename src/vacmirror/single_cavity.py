@@ -40,9 +40,9 @@ with r = 25 to 70 terms.  The mode sums then factorize over the nodes,
 and each is a finite geometric series in e^{-u omega1} e^{i pi (L - x)/L}
 that `kernels.geometric_sums` evaluates in closed form: a first-order
 profile costs O(r^2) per grid point and a complete one O(r^2) per grid
-point and node pair, whatever the mode count N, with no table larger
-than the grid times r or a block of BLOCK_BYTES.  Up to SMALL_MODES modes
-the sums run mode by mode instead (see `_contract`).  The profiles are:
+point and node pair, whatever the mode count N (one mode included), with
+no table larger than the grid times r or a block of BLOCK_BYTES (see
+`_contract`).  The profiles are:
 
 - change of the field energy density (numerator w_j w_k w_l, prefactor
   hbar^2/(2 L^3 m omega0), cos[(w_k - w_l) x / c] expanded as
@@ -84,7 +84,7 @@ import numpy as np
 from .errors import UsageError
 from .kernels import blocks, exp_sum, geometric_sums
 from .model import (CutoffSpec, PhysicalParams, checked_mode_count,
-                    damping_rate, mass_free_sum, mode_tables)
+                    damping_rate, mass_free_sum)
 
 __all__ = [
     "ObservableProfile",
@@ -96,12 +96,6 @@ __all__ = [
 
 # the two forms of every profile; see the module docstring
 STATES = ("first_order", "second_order")
-
-# profiles over at most this many modes are summed mode by mode: there the
-# complete energy density's extra term is summed over index sums, as
-# cos((k_k + k_l) x), which the closed form takes as products of cos and
-# sin whose cancellation costs about 1e-14 of the term at N = 3
-SMALL_MODES = 64
 
 
 @dataclass(frozen=True)
@@ -168,12 +162,11 @@ def _profile_sum(params, cutoff, n_max, n, xc, part, freq_numerator, sigma,
     return mass_free_sum(
         params, ("profile", cutoff, n_max, xc, part, freq_numerator, sigma,
                  state),
-        lambda: _contract(params, cutoff, n, rate, xc, part, freq_numerator,
-                          sigma, state))
+        lambda: _contract(params, n, rate, xc, part, freq_numerator, sigma,
+                          state))
 
 
-def _contract(params, cutoff, n, rate, xc, part, freq_numerator, sigma,
-              state):
+def _contract(params, n, rate, xc, part, freq_numerator, sigma, state):
     """Kernel node count, the profile's mode sum on the grid xc and its
     condition estimate sum |terms| / max |value|.
 
@@ -200,21 +193,13 @@ def _contract(params, cutoff, n, rate, xc, part, freq_numerator, sigma,
     (-1)^k e^{i k pi x / L} = e^{-i k pi (L - x) / L}: G is its real part,
     minus its imaginary part or its conjugate, signs and conjugations that
     cancel in the products.  So the work is O(r^2) per grid point whatever
-    the mode count, and no per-mode array is built.  At most SMALL_MODES
-    modes are summed and reduced per mode instead, from trig tables of
-    k_k x.
+    the mode count, and no per-mode array is built.
     """
     w1 = params.omega1
     e, a = exp_sum(params.omega0 + 2.0 * w1, params.omega0 + 2.0 * n * w1)
     a = a * np.exp(-e * params.omega0)
     second = state == "second_order"
     ep, ap = exp_sum(2.0 * w1, 2.0 * n * w1) if second else (None, None)
-    if n <= SMALL_MODES:
-        modes, damp, _, _, _ = mode_tables(params, cutoff, n)
-        vals, terms = _reduce_per_mode(modes, damp, params.c, xc, part,
-                                       freq_numerator, sigma, e, a, ep, ap)
-        return len(e), vals, _condition(vals, terms)
-
     p, scale = (1, w1) if freq_numerator else (0, 1.0)
     theta = (params.length - xc) * (np.pi / params.length)
     zero = np.zeros(1)
@@ -237,39 +222,6 @@ def _contract(params, cutoff, n, rate, xc, part, freq_numerator, sigma,
             vals[b] += 2.0 * sigma * np.real(t).sum(axis=1)
             terms[b] += 2.0 * np.abs(t).sum(axis=1)
     return len(e), vals, _condition(vals, terms)
-
-
-def _reduce_per_mode(modes, damp, c, xc, part, freq_numerator, sigma, e, a,
-                     ep, ap):
-    """The sums of `_contract` per mode j and k, from a table of T_k(x):
-    O(N r) work per grid point.  Returns the values and sum |terms|."""
-    w = modes.frequencies
-    signs = np.where(modes.indices % 2 == 0, 1.0, -1.0)
-    coef = signs * w * damp if freq_numerator else signs * damp
-    kx = np.outer(modes.wavenumbers, xc)
-    T = coef[:, None] * {"cos": np.cos, "sin": np.sin,
-                         "exp": lambda y: np.exp(1j * y)}[part](kx)
-    o = w * damp
-    E = np.exp(-np.outer(w, e))
-    vals = o @ np.abs(E @ (a[:, None] * (E.T @ T)))**2
-    terms = vals.copy()
-    if ep is None:
-        return vals, terms
-    R = E @ (a * (o @ E))
-    if part == "exp":
-        # the energy density's factor pairs as cos((k_k + k_l) x), summed
-        # over index sums s = k + l: its trig products would cancel
-        k = modes.indices
-        Q = np.bincount((k[:, None] + k).ravel(),
-                        np.outer(R * coef, coef).ravel())[2:]
-        ks = np.arange(2, 2 * k.size + 1) * (modes.wavenumbers[0])
-        t = (Q / (c * ks))[:, None] * np.cos(np.outer(ks, xc))
-    else:
-        Ep = np.exp(-np.outer(w, ep))
-        t = R[:, None] * T * (Ep @ (ap[:, None] * (Ep.T @ T)))
-    vals += 2.0 * sigma * t.sum(axis=0)
-    terms += 2.0 * np.abs(t).sum(axis=0)
-    return vals, terms
 
 
 def _condition(vals, terms):

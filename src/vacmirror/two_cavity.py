@@ -43,8 +43,9 @@ The mass enters C only through the prefactor, so the sum of the three
 structures is mass-free: a call that differs from the last mode-sum call
 only in the mass reuses it (`model.mass_free_sum`, shared with the
 profiles), keyed on omega0, L, hbar, c, the cutoff, n_max and the exact
-bytes of both grids.  The grid checks, the mode tables, the prefactor and
-the negativity check run on every call.
+bytes of both grids.  The grid checks, the mode count
+(`model.checked_mode_count`), the prefactor and the negativity check run
+on every call.
 """
 
 from __future__ import annotations

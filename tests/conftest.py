@@ -42,8 +42,25 @@ def params_weak():
     return PhysicalParams(mass=50.0, omega0=1.0, length=1.0)
 
 
+# pi to 36 digits, for the extended-precision references
+PI_LD = np.longdouble("3.14159265358979323846264338327950288")
+
+
+def prefactor(params, hbar_power, c_power, length_power):
+    """hbar^a c^b / (L^d m omega0) in np.longdouble, the prefactor of a
+    brute_* reference."""
+    hbar, c, m, w0, L = (np.longdouble(v) for v in (
+        params.hbar, params.c, params.mass, params.omega0, params.length))
+    return hbar**hbar_power * c**c_power / (L**length_power * m * w0)
+
+
 def mode_freqs(params, n):
-    return params.c * np.pi * np.arange(1, n + 1) / params.length
+    """The frequencies k pi c / L, k = 1 .. n, in np.longdouble, so every
+    brute_* loop below sums in extended precision: a float64 loop rounds
+    about 1e-14 of a profile at N = 3, as much as the bounds it checks."""
+    ld = np.longdouble
+    return np.arange(1, n + 1, dtype=ld) * (PI_LD * ld(params.c)
+                                            / ld(params.length))
 
 
 def exp_weight(freqs, omega_m):
@@ -58,8 +75,7 @@ def brute_energy_shift(params, n, omega_m=None):
         for wj in w:
             wgt = 1.0 if omega_m is None else exp_weight([wk, wj], omega_m)
             tot += wgt * wk * wj / (params.omega0 + wk + wj)
-    pre = params.hbar**2 / (4 * params.length**2 * params.mass * params.omega0)
-    return -pre * tot
+    return -prefactor(params, 2, 0, 2) / 4 * tot
 
 
 def blocked_energy_shift(params, n, pair_weight, block=256):
@@ -91,8 +107,7 @@ def brute_delta_energy_density(params, n, x, omega_m=None):
                 tot += ((-1) ** (k + l) * wj * wk * wl * wgt
                         / ((params.omega0 + wj + wk) * (params.omega0 + wj + wl))
                         * np.cos((wk - wl) * x / c))
-    pre = params.hbar**2 / (2 * params.length**3 * params.mass * params.omega0)
-    return pre * tot
+    return prefactor(params, 2, 0, 3) / 2 * tot
 
 
 def brute_em_fluct(params, n, x, component, omega_m=None):
@@ -108,8 +123,7 @@ def brute_em_fluct(params, n, x, component, omega_m=None):
                 tot += ((-1) ** (l + m) * wj * wl * wm * wgt
                         / ((params.omega0 + wj + wl) * (params.omega0 + wj + wm))
                         * trig(kk[l - 1] * x) * trig(kk[m - 1] * x))
-    pre = params.hbar**2 / (params.mass * params.omega0 * params.length**3)
-    return pre * tot
+    return prefactor(params, 2, 0, 3) * tot
 
 
 def brute_delta_phi_squared(params, n, x, omega_m=None):
@@ -124,9 +138,7 @@ def brute_delta_phi_squared(params, n, x, omega_m=None):
                 tot += ((-1) ** (p + q) * wj * wgt
                         / ((params.omega0 + wj + wp) * (params.omega0 + wj + wq))
                         * np.sin(kk[p - 1] * x) * np.sin(kk[q - 1] * x))
-    pre = (params.hbar**2 * params.c**2
-           / (params.length**3 * params.mass * params.omega0))
-    return pre * tot
+    return prefactor(params, 2, 2, 3) * tot
 
 
 def brute_second_order_term(params, n, x, kind, omega_m=None):
@@ -160,12 +172,9 @@ def brute_second_order_term(params, n, x, kind, omega_m=None):
                 else:
                     num = wj * np.sin(kk[k - 1] * x) * np.sin(kk[l - 1] * x)
                 tot += (-1) ** (k + l) * wgt * num * den
-    pre = params.hbar**2 / (params.mass * params.omega0 * params.length**3)
     if kind == "energy_density":
-        pre = pre / 2
-    elif kind == "phi2":
-        pre = pre * params.c**2
-    return pre * tot
+        return prefactor(params, 2, 0, 3) / 2 * tot
+    return prefactor(params, 2, 2 if kind == "phi2" else 0, 3) * tot
 
 
 def brute_correlation(params, n, x1, x2, omega_m=None):
@@ -187,9 +196,7 @@ def brute_correlation(params, n, x1, x2, omega_m=None):
                             + sins / ((w0 + wp + wq) * (wp + wq + wr + ws))
                             + sins / ((w0 + wr + ws) * (wp + wq + wr + ws)))
                     tot += (-1) ** (p + q + r + s) * wgt * term
-    pre = (params.hbar**3 * params.c**4
-           / (params.length**4 * params.mass * params.omega0))
-    return -pre * tot
+    return -prefactor(params, 3, 4, 4) * tot
 
 
 def _sine_tables(modes, damp, xt):
@@ -277,7 +284,7 @@ def longdouble_profile(params, cutoff, xc, kind, state, n_max=None):
     the second-order term of the sin part with the opposite sign.
     """
     ld = np.longdouble
-    pi = ld("3.14159265358979323846264338327950288")
+    pi = PI_LD
     modes, damp, _, _, _ = mode_tables(params, cutoff, n_max)
     n = len(modes)
     k = np.arange(1, n + 1, dtype=ld)

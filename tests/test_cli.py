@@ -10,7 +10,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from vacmirror import PhysicalParams, cli
+from vacmirror import (ConvergenceError, PhysicalParams, cli,
+                       continuum_correlation, oracle)
 from vacmirror.cli import (BLOCK_ROWS, Table, build_config, build_parser,
                            compute_rows, main, sidecar_path, write_outputs)
 
@@ -89,12 +90,48 @@ def test_capacity_error_exit_code(tmp_path):
     assert rc == 4
 
 
-def test_convergence_error_exit_code(tmp_path):
+def test_convergence_error_exit_code(tmp_path, capsys):
     out = tmp_path / "x.csv"
     rc = main(["continuum", "--omega-m", "10", "--xt1", "0.1", "--xt2", "0.1",
                "--method", "full_quadrature", "--budget", "1e3",
                "-o", str(out)])
     assert rc == 3
+    assert "(no estimate," in capsys.readouterr().err
+
+
+def test_full_quadrature_budget_message_carries_estimate(tmp_path, capsys):
+    # the first two levels at this point cost 1.9e7 and 5.0e7 summands: a
+    # budget between them leaves the first level's value as best estimate
+    p = PhysicalParams(mass=1.0, omega0=1.0, length=1.0)
+    with pytest.raises(ConvergenceError) as exc:
+        continuum_correlation(p, 10.0, 0.1, 0.1, rel_tol=1e-6,
+                              method="full_quadrature", budget=3e7)
+    estimate = exc.value.best_estimate
+    assert estimate is not None
+    rc = main(["continuum", "--omega-m", "10", "--xt1", "0.1", "--xt2", "0.1",
+               "--method", "full_quadrature", "--rel-tol", "1e-6",
+               "--budget", "3e7", "-o", str(tmp_path / "x.csv")])
+    assert rc == 3
+    assert f"best estimate {estimate:.17e}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("eigenvalues, text", [
+    ([-0.25], "best estimate -2.50000000000000000e-01"), ([], "no estimate")])
+def test_eigensolver_failure_message_carries_estimate(tmp_path, capsys,
+                                                      monkeypatch, eigenvalues,
+                                                      text):
+    # every sector goes to Lanczos, which gives up with ARPACK's estimate
+    # or without one
+    import scipy.sparse.linalg as sla
+
+    def eigsh(*args, **kwargs):
+        raise sla.ArpackNoConvergence("No convergence", np.array(eigenvalues),
+                                      np.zeros((0, len(eigenvalues))))
+
+    monkeypatch.setattr(oracle, "DENSE_SOLVE_LIMIT", 0)
+    monkeypatch.setattr(sla, "eigsh", eigsh)
+    assert main(ORACLE + ["-o", str(tmp_path / "o.csv")]) == 3
+    assert text in capsys.readouterr().err
 
 
 def test_rerun_byte_identical(tmp_path):

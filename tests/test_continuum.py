@@ -102,6 +102,7 @@ def test_partial_analytic_budget_stops_work(params_unit, monkeypatch):
                               budget=10)
     assert len(calls) <= 11
     assert exc.value.best_estimate is None
+    assert "(no estimate)" in str(exc.value)
 
 
 @pytest.mark.parametrize("scale", [1.0, 1.5])

@@ -4,9 +4,10 @@ import numpy as np
 import pytest
 
 from vacmirror import (CutoffSpec, default_grid, delta_energy_density,
-                       em_field_fluctuations, photon_spectrum,
-                       squared_field_correlation_discrete)
+                       delta_phi_squared, em_field_fluctuations, model,
+                       photon_spectrum, squared_field_correlation_discrete)
 from vacmirror.kernels import exp_sum, geometric_sums
+from vacmirror.single_cavity import STATES
 
 from conftest import params_for_lambda
 
@@ -100,11 +101,31 @@ def test_engines_at_large_mode_count_stay_small():
         assert np.all(np.isfinite(getattr(out, field)))
 
 
-def test_closed_form_engines_build_no_mode_tables():
-    # exp:5000 omega0 is N = 184208 modes: the profiles and the correlation
-    # need only the count, and their O(N) mode and index-sum tables alone
-    # would take 18 MiB
+@pytest.mark.filterwarnings("ignore:cutoff omega_m")
+def test_closed_form_engines_build_no_mode_tables(monkeypatch):
+    # the profiles and the correlation need only the mode count, at every
+    # N: no call may build a mode set.  exp:5000 omega0 is N = 184208
+    # modes, where the O(N) mode and index-sum tables alone would take
+    # 18 MiB
+    def no_mode_set(*args, **kwargs):
+        raise AssertionError("a closed-form engine built a mode set")
+
+    monkeypatch.setattr(model.ModeSet, "build", no_mode_set)
     p = params_for_lambda(0.05, omega0=np.pi)
+    grid = [0.17, 0.42, 0.77]
+    for n in (1, 3, 64):
+        for cut, n_max in ((CutoffSpec.sharp_n_modes(p, n), None),
+                           (CutoffSpec.exponential(30 * np.pi), n)):
+            for state in STATES:
+                for prof in (
+                        delta_energy_density(p, cut, grid, n_max, state=state),
+                        em_field_fluctuations(p, cut, grid, "E", n_max,
+                                              state=state),
+                        em_field_fluctuations(p, cut, grid, "B", n_max,
+                                              state=state),
+                        delta_phi_squared(p, cut, grid, n_max, state=state)):
+                    assert prof.n_modes == n
+                    assert np.all(np.isfinite(prof.values))
     cut = CutoffSpec.exponential(5000 * np.pi)
     for call in (lambda: delta_energy_density(p, cut, default_grid(p)),
                  lambda: squared_field_correlation_discrete(p, cut, [0.5], [1.5])):

@@ -34,6 +34,44 @@ def test_em_fluctuations_vs_enumeration(params_weak):
         assert np.max(np.abs(prof.values - ref) / np.abs(ref)) < 1e-14
 
 
+def test_enumeration_references_are_extended_precision(params_weak):
+    # the brute_* references sum in np.longdouble (conftest.mode_freqs and
+    # conftest.prefactor): in float64 these two are 1.8e-14 and 3.2e-15
+    # off, as much as the 1e-14 bounds they check.  The pinned values are
+    # the defining triple sums at 40 digits, each at the grid point where
+    # float64 does worst, by this one-off script:
+    #
+    #   import mpmath as mp
+    #   mp.mp.dps = 40
+    #   w = [k * mp.pi for k in (1, 2, 3)]
+    #   r = range(3)
+    #   def b2(x):     # brute_em_fluct(params_weak, 3, x, "B")
+    #       return sum((-1)**(l + m) * w[j] * w[l] * w[m]
+    #                  * mp.cos(w[l] * x) * mp.cos(w[m] * x)
+    #                  / ((1 + w[j] + w[l]) * (1 + w[j] + w[m]))
+    #                  for j in r for l in r for m in r) / 50
+    #   def term(x):   # brute_second_order_term(..., "energy_density")
+    #       return sum((-1)**(k + l) * w[j] * w[k] * w[l]
+    #                  * mp.cos((w[k] + w[l]) * x)
+    #                  * (1 / (1 + w[j] + w[k]) + 1 / (1 + w[j] + w[l]))
+    #                  / (w[k] + w[l]) for j in r for k in r for l in r) / 100
+    #   print(mp.nstr(b2(mp.mpf(0.77)), 20), mp.nstr(term(mp.mpf(0.17)), 20))
+    #
+    # The bound sits above the loops' own rounding: the B sum at 0.77
+    # cancels sum |terms| / |sum| = 239 times, so long double's 1.1e-19
+    # leaves it 1.3e-17 off
+    assert np.finfo(np.longdouble).precision >= 18, (
+        "np.longdouble is no wider than float64 here, so the brute_* "
+        "references are not extended precision")
+    for got, exact in (
+            (brute_em_fluct(params_weak, 3, 0.77, "B"),
+             "5.4086908122190972392e-4"),
+            (brute_second_order_term(params_weak, 3, 0.17, "energy_density"),
+             "-2.5368888304173349758e-2")):
+        exact = np.longdouble(exact)
+        assert abs(got - exact) < 5e-17 * abs(exact)
+
+
 def test_delta_phi_squared_vs_enumeration(params_weak):
     cut = CutoffSpec.sharp_n_modes(params_weak, 3)
     prof = delta_phi_squared(params_weak, cut, GRID)
@@ -163,6 +201,30 @@ def test_second_order_term_vs_enumeration(params_weak, kind):
 
 
 @pytest.mark.filterwarnings("ignore:cutoff omega_m")
+@pytest.mark.parametrize("state", ["first_order", "second_order"])
+@pytest.mark.parametrize("kind", ["energy_density", "E", "B", "phi2"])
+def test_small_n_profiles_vs_enumeration(params_weak, kind, state):
+    # every profile at N = 1 .. 3 on both cutoff kinds, against the
+    # extended-precision triple loops.  The error is taken relative to the
+    # profile's peak on the grid: the complete energy density at N = 3 and
+    # x = 0.42 is 200 times below its peak, where its two orders (0.022
+    # and -0.024) cancel and float64 rounding leaves 1.3e-14 of the value
+    first = {"energy_density": brute_delta_energy_density,
+             "E": lambda p, n, x, om: brute_em_fluct(p, n, x, "E", om),
+             "B": lambda p, n, x, om: brute_em_fluct(p, n, x, "B", om),
+             "phi2": brute_delta_phi_squared}[kind]
+    for n in (1, 2, 3):
+        for cut, n_max, om in ((CutoffSpec.sharp_n_modes(params_weak, n), None, None),
+                               (CutoffSpec.exponential(9.0), n, 9.0)):
+            got = _profile(kind, params_weak, cut, GRID, n_max, state).values
+            ref = np.array([first(params_weak, n, x, om) for x in GRID])
+            if state == "second_order":
+                ref += [brute_second_order_term(params_weak, n, x, kind, om)
+                        for x in GRID]
+            assert np.max(np.abs(got - ref)) < 1e-14 * np.max(np.abs(ref))
+
+
+@pytest.mark.filterwarnings("ignore:cutoff omega_m")
 def test_second_order_profiles_match_perturbative_state(params_unit):
     # the complete form is the O(coupling^2) value of the normalized
     # second-order perturbative state, rebuilt numerically from the oracle's
@@ -188,10 +250,10 @@ def test_second_order_profiles_match_perturbative_state(params_unit):
 
 @pytest.mark.parametrize("cut", [CutoffSpec.exponential(30.0), CutoffSpec.sharp(40.0)])
 def test_second_order_energy_density_is_mean_of_em_parts(params_weak, cut):
-    # the complete energy density sums its extra term over index sums
-    # k + l; the E and B profiles use separate Hankel products.  The
-    # profile crosses zero near the fixed wall, so the error is measured
-    # against the size of the two averaged parts
+    # the complete energy density contracts complex geometric sums, the E
+    # and B profiles their imaginary and real parts, each with its own
+    # sigma.  The profile crosses zero near the fixed wall, so the error
+    # is measured against the size of the two averaged parts
     grid = default_grid(params_weak, 40)
     dh = delta_energy_density(params_weak, cut, grid, state="second_order")
     pe = em_field_fluctuations(params_weak, cut, grid, "E", state="second_order")
