@@ -4,9 +4,10 @@ Each run writes one CSV data file (a '#'-prefixed provenance block with
 the full configuration, a header row, then one record per grid point)
 and a flat JSON sidecar (same configuration keys plus library version,
 wall-clock time and convergence diagnostics).  The computations return
-their records as a columnar Table, which write_outputs streams in blocks
-of BLOCK_ROWS rows, each formatted in numpy (fmt17's exact "%.17e" for
-float64 values) and written as one byte buffer.  Identical configurations
+their records as a Table of float64 arrays and Cycle columns, which
+write_outputs streams in blocks of BLOCK_ROWS rows, each formatted in
+numpy (fmt17's exact "%.17e" for float64 values) and written as one
+byte buffer.  Identical configurations
 produce byte-identical CSV files; `vacmirror rerun` rebuilds the CSV from
 a sidecar alone.
 build_config only translates options (it checks --cutoff, where it
@@ -66,8 +67,8 @@ def _parse_cutoff(text: str) -> tuple[str, float]:
     return kind, omega_m
 
 
-def _parse_values(spec: str) -> list[float]:
-    """Comma list '1,2,4' or range 'lo:hi:n' / 'lo:hi:n:log'."""
+def _parse_values(spec: str) -> np.ndarray:
+    """Comma list '1,2,4' or range 'lo:hi:n' / 'lo:hi:n:log', as float64."""
     if not isinstance(spec, str):
         raise ParameterError(
             f"value list must be a string like '1,2,4' or 'lo:hi:n[:log]', got {spec!r}")
@@ -85,10 +86,10 @@ def _parse_values(spec: str) -> list[float]:
         if len(parts) == 4:
             if lo <= 0 or hi <= 0:
                 raise ParameterError("log range needs positive endpoints")
-            return [float(v) for v in np.geomspace(lo, hi, n)]
-        return [float(v) for v in np.linspace(lo, hi, n)]
+            return np.geomspace(lo, hi, n)
+        return np.linspace(lo, hi, n)
     try:
-        return [float(v) for v in spec.split(",") if v != ""]
+        return np.array([float(v) for v in spec.split(",") if v != ""])
     except ValueError:
         raise ParameterError(f"could not parse value list {spec!r}")
 
@@ -273,18 +274,14 @@ def _cutoff_from(cfg) -> CutoffSpec:
     return CutoffSpec(cfg["cutoff_kind"], cfg["cutoff_omega_m"], cfg["sharp_rule"])
 
 
-def _grid_from(cfg, key):
-    return np.asarray(_parse_values(cfg[key]), dtype=float)
-
-
 # ---------------------------------------------------------------------------
 # per-command computations: return (header, table, diagnostics)
 # ---------------------------------------------------------------------------
 
 class Table:
-    """CSV records held as columns of equal length: float64 arrays, Repeat
-    and Cycle columns, or sequences of any values.  len() is the row
-    count; iterating yields the rows as tuples."""
+    """CSV records held as columns of equal length: float64 arrays and
+    Cycle columns, or in a small table sequences of any values.  len() is
+    the row count; iterating yields the rows as tuples."""
 
     def __init__(self, columns):
         self.columns = list(columns)
@@ -297,28 +294,15 @@ class Table:
 
 
 def _is_float64(column) -> bool:
-    """Whether the writer formats a column as float64 bit patterns."""
+    """Whether a column is a float64 array, which fmt17.slots formats."""
     return isinstance(column, np.ndarray) and column.dtype == np.float64
-
-
-class Repeat:
-    """A column of one value repeated n times; the writer formats it once
-    per block."""
-
-    def __init__(self, value, n):
-        self.value, self.n = value, n
-
-    def __len__(self):
-        return self.n
-
-    def __iter__(self):
-        return (self.value for _ in range(self.n))
 
 
 class Cycle:
     """A column of n rows whose row i is values[(i // every) % len(values)],
     as np.tile(np.repeat(values, every), ...) but expanded one slice at a
-    time; the writer formats each of its values once per table."""
+    time; the writer formats each of its values once per table.  A
+    constant column is Cycle([value], 1, n)."""
 
     def __init__(self, values, every, n):
         self.values, self.every, self.n = np.asarray(values), every, n
@@ -346,8 +330,8 @@ class Cycle:
 
 
 def _const(n, *values):
-    """One Repeat column per value, each value repeated n times."""
-    return [Repeat(v, n) for v in values]
+    """One Cycle column per value, each value repeated n times."""
+    return [Cycle([v], 1, n) for v in values]
 
 
 def _compute_energy_shift(cfg):
@@ -374,7 +358,7 @@ def _compute_spectrum(cfg):
 def _compute_profile(cfg):
     params = _params_from(cfg)
     cutoff = _cutoff_from(cfg)
-    grid = _grid_from(cfg, "grid")
+    grid = _parse_values(cfg["grid"])
     if cfg["command"] == "energy-density":
         prof = delta_energy_density(params, cutoff, grid, cfg["n_max"],
                                     origin=cfg["origin"])
@@ -404,8 +388,8 @@ def _compute_correlation(cfg):
                        [""]]),
                 {})
     cutoff = _cutoff_from(cfg)
-    x1 = _grid_from(cfg, "x1_grid")
-    x2 = _grid_from(cfg, "x2_grid")
+    x1 = _parse_values(cfg["x1_grid"])
+    x2 = _parse_values(cfg["x2_grid"])
     grid = squared_field_correlation_discrete(
         params, cutoff, x1, x2, cfg["n_max"], negativity=cfg["negativity"])
     # rows run over x1 outer, x2 inner
@@ -444,7 +428,7 @@ def _compute_scaling(cfg):
 
 def _compute_oracle_validate(cfg):
     base = _params_from(cfg)
-    lambdas = _parse_values(cfg["lambdas"])
+    lambdas = _parse_values(cfg["lambdas"]).tolist()
     # each coupling sets the mass hbar / (8 lambda^2 omega0 L^2)
     if not all(0 < lam < math.inf for lam in lambdas):
         raise ParameterError(
@@ -519,7 +503,9 @@ def compute_rows(cfg):
     values = _parse_values(cfg["sweep_spec"])
     if len(values) < 2:
         raise ParameterError("a sweep needs at least 2 points")
-    results = [fn({**cfg, name: v, "sweep_param": None}) for v in values]
+    # each point gets a Python float, as from a command line, so a message
+    # that shows the swept value reads the same
+    results = [fn({**cfg, name: v, "sweep_param": None}) for v in values.tolist()]
     header = [name] + results[0][0]
     tables = [t for _, t, _ in results]
     table = Table([np.repeat(values, [len(t) for t in tables]),
@@ -533,9 +519,9 @@ def compute_rows(cfg):
 def _concat(parts):
     """One column from its per-point parts, in sweep order."""
     first = parts[0]
-    if all(isinstance(p, Repeat) and _text(p.value) == _text(first.value)
-           for p in parts):
-        return Repeat(first.value, sum(map(len, parts)))
+    if all(isinstance(p, Cycle) and len(p.values) == 1
+           and _text(p.values[0]) == _text(first.values[0]) for p in parts):
+        return Cycle(first.values, 1, sum(map(len, parts)))
     parts = [p[0:len(p)] if isinstance(p, Cycle) else p for p in parts]
     if all(map(_is_float64, parts)):
         return np.concatenate(parts)
@@ -589,25 +575,15 @@ def _slots(values, encoding):
 def _format_block(columns, start, stop, encoding):
     """The CSV lines of rows start:stop as a uint8 array: each column's
     slots and its separator placed side by side, then the kept bytes in
-    row order.  The float64 arrays are formatted together, once per
-    distinct bit pattern (bits, not values, so -0.0 stays apart from 0.0);
-    a Repeat column once, a Cycle column from its values' slots."""
-    parts = [None] * len(columns)
-    floats = [j for j, c in enumerate(columns) if _is_float64(c)]
-    if floats:
-        bits = np.stack([columns[j][start:stop] for j in floats]).view(np.int64)
-        keys, inverse = np.unique(bits, return_inverse=True)
-        shared = slots(keys.view(np.float64))
-        for j, rows in zip(floats, inverse.reshape(bits.shape)):
-            parts[j] = tuple(a.take(rows, axis=0) for a in shared)
-    for j, column in enumerate(columns):
-        if isinstance(column, Repeat):
-            parts[j] = _slots([column.value], encoding)
-        elif isinstance(column, Cycle):
+    row order.  A Cycle column takes its rows from its values' slots; any
+    other column is formatted row by row, a float64 array by fmt17.slots."""
+    parts = []
+    for column in columns:
+        if isinstance(column, Cycle):
             rows = column.index(start, stop)
-            parts[j] = tuple(a.take(rows, axis=0) for a in column.slots(encoding))
-        elif parts[j] is None:
-            parts[j] = _slots(column[start:stop], encoding)
+            parts.append(tuple(a.take(rows, axis=0) for a in column.slots(encoding)))
+        else:
+            parts.append(_slots(column[start:stop], encoding))
     width = sum(t.shape[1] + 1 for t, _ in parts)
     text = np.empty((stop - start, width), np.uint8)
     keep = np.ones((stop - start, width), bool)

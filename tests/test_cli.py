@@ -570,9 +570,10 @@ def test_csv_lines_match_reference_formatter_on_mixed_types(tmp_path):
 
 
 def test_csv_columns_format_signed_zeros_and_specials(tmp_path):
-    # the float64 columns share one formatting per distinct value within a
-    # block: -0.0 must keep its own string apart from 0.0 (keyed on bits,
-    # not on values), and the table spans more than one block
+    # each float64 column is formatted value by value in numpy: -0.0 must
+    # keep its sign apart from 0.0, nan, infinities, subnormals and values
+    # out of the vectorized range take the fallback, and the table spans
+    # more than one block
     traps = [0.0, -0.0, math.nan, math.inf, -math.inf, 5e-324, 1e-300, 0.0,
              -0.0, 1e-300, math.nan]
     n = 2 * BLOCK_ROWS + 5
@@ -720,6 +721,48 @@ def test_correlation_table_holds_grids_not_rows():
     assert np.array_equal(columns["x1"][rows], np.repeat(x1, 1000)[rows])
     assert np.array_equal(columns["x2"][rows], np.tile(x2, 1000)[rows])
     assert set(columns["method"]) == {"discrete-sum"}
+
+
+@pytest.mark.parametrize("argv", [
+    ["energy-density", "--cutoff", "exp:20", "--grid", "0.1:0.9:7"],
+    ["correlation", "--cutoff", "exp:20", "--x1-grid", "0.1:0.9:3",
+     "--x2-grid", "1.1:1.9:4"],
+], ids=["energy-density", "correlation"])
+def test_sweep_constant_columns_stay_one_cycle(argv):
+    # a sweep merges its points' constant columns into one lazy column
+    # spanning every row, so the writer formats each value once
+    argv = argv + ["--sweep", "mass=1,2,4", "-o", "unused.csv"]
+    header, table, _ = compute_rows(build_config(build_parser().parse_args(argv)))
+    columns = dict(zip(header, table.columns))
+    for name, value in [("method", "discrete-sum"), ("achieved_rel_tol", "")]:
+        column = columns[name]
+        assert isinstance(column, cli.Cycle)
+        assert column.values.tolist() == [value]
+        assert len(column) == len(table)
+    assert len(table) == 3 * (7 if argv[0] == "energy-density" else 12)
+
+
+@pytest.mark.parametrize("spec", ["0:1:2000000", "1:2:2000000:log"])
+def test_range_parsing_memory_bound(spec):
+    # a range is parsed into one float64 array (16 MB here), never into
+    # one Python float per point (77 MiB peak for the linear range)
+    tracemalloc.start()
+    try:
+        values = cli._parse_values(spec)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 40 * 2**20
+    assert values.dtype == np.float64 and values.shape == (2_000_000,)
+
+
+@pytest.mark.parametrize("command", ["energy-shift", "spectrum",
+                                     "energy-density", "correlation"])
+def test_negative_n_max_is_a_parameter_error(tmp_path, capsys, command):
+    out = tmp_path / "x.csv"
+    assert main([command, "--n-max", "-5", "-o", str(out)]) == 2
+    assert "n_max" in capsys.readouterr().err
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("width", ["1e-300", "1e-9"])
