@@ -11,9 +11,10 @@ byte buffer.  Identical configurations
 produce byte-identical CSV files; `vacmirror rerun` rebuilds the CSV from
 a sidecar alone.
 build_config takes the configuration from the parsed options, translating
-a few (it checks --cutoff, where it enters); every other value is checked
-where the run uses it, in compute_rows or a _compute_* function, so a
-rerun meets the checks and exit codes of a command line.  A sweep
+a few (it checks --cutoff, where it enters) and keeping only those the run
+reads; every other value is checked where the run uses it, in compute_rows
+or a _compute_* function, so a rerun meets the checks and exit codes of a
+command line, and a key its sidecar lacks is a parameter error.  A sweep
 evaluates its points in order in the calling thread; `--threads` is
 accepted for compatibility and recorded in the sidecar, but selects
 nothing.
@@ -98,7 +99,7 @@ def build_parser() -> argparse.ArgumentParser:
         description="Vacuum observables near a quantum-mechanical movable mirror")
     sub = ap.add_subparsers(dest="command", required=True)
 
-    def common(p, cutoff_default=None):
+    def common(p):
         p.add_argument("--m", "--mass", dest="mass", type=float, default=1.0,
                        help="mirror mass")
         p.add_argument("--omega0", type=float, default=1.0,
@@ -109,12 +110,6 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--c", type=float, default=None)
         p.add_argument("--si", action="store_true",
                        help="interpret parameters in SI units (kg, 1/s, m)")
-        p.add_argument("--cutoff", default=cutoff_default,
-                       help="regularization KIND:OMEGA_M, e.g. exp:50 or sharp:50")
-        p.add_argument("--sharp-rule", choices=["per_mode", "total"],
-                       default="per_mode")
-        p.add_argument("--n-max", type=int, default=None,
-                       help="explicit mode count overriding the cutoff size")
         p.add_argument("--sweep", default=None, metavar="NAME=SPEC",
                        help="sweep one parameter (e.g. mass=1:16:5:log)")
         p.add_argument("--threads", type=int, default=1,
@@ -122,28 +117,37 @@ def build_parser() -> argparse.ArgumentParser:
                        "sidecar; sweeps run serially (default 1)")
         p.add_argument("-o", "--output", required=True, help="output CSV path")
 
+    def mode_sum(p):        # common(p) and the options of a mode sum
+        common(p)
+        p.add_argument("--cutoff", default="exp:50",
+                       help="regularization KIND:OMEGA_M, e.g. exp:50 or sharp:50")
+        p.add_argument("--sharp-rule", choices=["per_mode", "total"],
+                       default="per_mode")
+        p.add_argument("--n-max", type=int, default=None,
+                       help="explicit mode count overriding the cutoff size")
+
     p = sub.add_parser("energy-shift", help="ground-state energy shift")
-    common(p, cutoff_default="exp:50")
+    mode_sum(p)
 
     p = sub.add_parser("spectrum", help="virtual photon pair spectrum")
-    common(p, cutoff_default="exp:50")
+    mode_sum(p)
     p.add_argument("--bin-width", type=float, default=None,
                    help="histogram bin width (default omega0/20)")
 
     p = sub.add_parser("energy-density", help="field energy density change profile")
-    common(p, cutoff_default="exp:50")
+    mode_sum(p)
     p.add_argument("--grid", default=None, metavar="LO:HI:N",
                    help="sample grid (default 0.01L:0.99L:200)")
     p.add_argument("--origin", choices=["fixed", "movable"], default="fixed")
 
     p = sub.add_parser("em-fluct", help="electric/magnetic fluctuation profile")
-    common(p, cutoff_default="exp:50")
+    mode_sum(p)
     p.add_argument("--component", choices=["E", "B"], required=True)
     p.add_argument("--grid", default=None, metavar="LO:HI:N")
     p.add_argument("--origin", choices=["fixed", "movable"], default="fixed")
 
     p = sub.add_parser("correlation", help="cross-cavity squared-field correlation")
-    common(p, cutoff_default="exp:50")
+    mode_sum(p)
     p.add_argument("--method", choices=["discrete", "asymptotic"], default="discrete")
     p.add_argument("--x1-grid", default=None, metavar="LO:HI:N",
                    help="cavity-1 positions (default 0.05L:0.95L:10)")
@@ -209,19 +213,19 @@ def build_config(args) -> dict:
     becomes cutoff_kind and cutoff_omega_m, --sweep sweep_param and
     sweep_spec; hbar and c default to 1 or, with --si, to their SI values;
     the grids default to fractions of L; oracle-validate's --cavities reads
-    'one' or 'two' and --modes becomes modes_per_cavity; a correlation
-    keeps only its method's options.
+    'one' or 'two' and --modes becomes modes_per_cavity.  Only keys the run
+    reads are kept: a correlation drops its other method's, the asymptotic
+    law also the mode-sum keys but cutoff_kind, a one-cavity oracle x1, x2.
 
     Checks only --cutoff, where it enters; compute_rows and the _compute_*
     functions check every other value where the run uses it."""
     cfg = dict(vars(args))
-    cutoff, sweep = cfg.pop("cutoff"), cfg.pop("sweep")
-    kind = omega_m = None
-    if cutoff is not None:
-        kind, omega_m = _parse_cutoff(cutoff)
+    sweep = cfg.pop("sweep")
+    if "cutoff" in cfg:
+        kind, omega_m = _parse_cutoff(cfg.pop("cutoff"))
         CutoffSpec(kind, omega_m, cfg["sharp_rule"])  # validate now
-    cfg.update(cutoff_kind=kind, cutoff_omega_m=omega_m,
-               sweep_param=None, sweep_spec=None)
+        cfg.update(cutoff_kind=kind, cutoff_omega_m=omega_m)
+    cfg.update(sweep_param=None, sweep_spec=None)
     if sweep:
         name, _, spec = sweep.partition("=")
         cfg.update(sweep_param=name.replace("-", "_"), sweep_spec=spec)
@@ -236,7 +240,8 @@ def build_config(args) -> dict:
         if key in cfg:
             cfg[key] = cfg[key] or default
     if cfg["command"] == "correlation":
-        unused = (("x1_grid", "x2_grid", "negativity")
+        unused = (("x1_grid", "x2_grid", "negativity", "cutoff_omega_m",
+                   "sharp_rule", "n_max")
                   if cfg["method"] == "asymptotic" else ("xt1", "xt2"))
         for key in unused:
             del cfg[key]
@@ -245,6 +250,8 @@ def build_config(args) -> dict:
         modes = cfg.pop("modes")
         cfg.update(cavities="one" if one else "two",
                    modes_per_cavity=(2 if one else 1) if modes is None else modes)
+        if one:
+            del cfg["x1"], cfg["x2"]
     return cfg
 
 
@@ -254,8 +261,6 @@ def _params_from(cfg) -> PhysicalParams:
 
 
 def _cutoff_from(cfg) -> CutoffSpec:
-    if cfg["cutoff_kind"] is None:
-        raise ParameterError("this command requires --cutoff")
     return CutoffSpec(cfg["cutoff_kind"], cfg["cutoff_omega_m"], cfg["sharp_rule"])
 
 
@@ -482,15 +487,15 @@ def compute_rows(cfg):
     if name not in SWEEPABLE:
         raise ParameterError(f"cannot sweep {name!r}; sweepable: {sorted(SWEEPABLE)}")
     if cfg.get(name) is None:
-        if name == "cutoff_omega_m":
-            raise ParameterError("sweeping cutoff_omega_m needs --cutoff")
         raise ParameterError(f"{name!r} is not a parameter of {cmd!r}")
     values = _parse_values(cfg["sweep_spec"])
     if len(values) < 2:
         raise ParameterError("a sweep needs at least 2 points")
     # each point gets a Python float, as from a command line, so a message
-    # that shows the swept value reads the same
-    results = [fn({**cfg, name: v, "sweep_param": None}) for v in values.tolist()]
+    # that shows the swept value reads the same, and cfg's type, so a key a
+    # sidecar lacks stays a parameter error
+    results = [fn(type(cfg)(cfg, sweep_param=None, **{name: v}))
+               for v in values.tolist()]
     header = [name] + results[0][0]
     tables = [t for _, t, _ in results]
     counts = [len(t) for t in tables]
@@ -622,6 +627,13 @@ def write_outputs(cfg, header, table, diagnostics, wall_time: float):
         fh.write("\n")
 
 
+class _Sidecar(dict):
+    """A rerun's configuration: a key the sidecar lacks is a parameter error."""
+
+    def __missing__(self, key):
+        raise ParameterError(f"the sidecar has no {key!r} key")
+
+
 def config_from_sidecar(path: str) -> dict:
     with open(path) as fh:
         try:
@@ -631,9 +643,9 @@ def config_from_sidecar(path: str) -> dict:
     if not isinstance(meta, dict):
         raise ParameterError(
             f"sidecar {path} must hold a JSON object, not a {type(meta).__name__}")
-    return {k: v for k, v in meta.items()
-            if k != "library_version" and k != "wall_time_s"
-            and not k.startswith("diag_")}
+    return _Sidecar((k, v) for k, v in meta.items()
+                    if k != "library_version" and k != "wall_time_s"
+                    and not k.startswith("diag_"))
 
 
 # ---------------------------------------------------------------------------

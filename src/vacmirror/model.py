@@ -312,16 +312,18 @@ def mode_tables(params: PhysicalParams, cutoff: CutoffSpec, n: int):
 _last_sum = None
 
 
-def mass_free_sum(params: PhysicalParams, key: tuple, compute):
-    """compute(), or its result from the last call if that call had an equal
-    key and the same parameters apart from the mass.
+def mass_free_sum(compute, params: PhysicalParams, *args):
+    """compute(params, *args), or its result from the last call if that
+    call had the same compute, the same parameters apart from the mass and
+    equal args.
 
     Every discrete observable carries the mirror mass only through its
     exact 1/m prefactor, so the mode sum behind it is mass-free and a mass
-    sweep needs it once.  key names the sum and holds every other input it
-    depends on; omega0, L, hbar and c are added here, and arrays enter by
-    dtype, shape and exact bytes.  compute returns a tuple, whose arrays
-    are made read-only: callers scale them into new arrays.
+    sweep needs it once.  compute must read no input but its arguments and
+    no parameter but omega0, L, hbar and c; so the key is the function,
+    those four and args, where arrays enter by dtype, shape and exact
+    bytes.  compute returns a tuple, whose arrays are made read-only:
+    callers scale them into new arrays.
 
     One entry, the last result: a sum is reused only when no other sum ran
     in between, as in a sweep, and no older result stays in memory.  The
@@ -330,13 +332,13 @@ def mass_free_sum(params: PhysicalParams, key: tuple, compute):
     only a recomputation.
     """
     global _last_sum
-    key = (params.omega0, params.length, params.hbar, params.c) + tuple(
-        (part.dtype.str, part.shape, part.tobytes())
-        if isinstance(part, np.ndarray) else part for part in key)
+    key = (compute, params.omega0, params.length, params.hbar, params.c,
+           *((arg.dtype.str, arg.shape, arg.tobytes())
+             if isinstance(arg, np.ndarray) else arg for arg in args))
     last = _last_sum
     if last is not None and last[0] == key:
         return last[1]
-    value = compute()
+    value = compute(params, *args)
     for v in value:
         if isinstance(v, np.ndarray):
             v.flags.writeable = False

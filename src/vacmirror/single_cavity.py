@@ -60,13 +60,13 @@ imaginary and real parts, which the tests exploit.
 The mirror mass enters a profile only through its 1/m prefactor, so the
 mode sum behind it is mass-free, and a call that differs from the last
 mode-sum call only in the mass reuses that sum (`model.mass_free_sum`,
-shared with the correlation).  The key is everything else the sum depends
-on: omega0, L, hbar, c, the cutoff (kind, omega_m, rule), n_max, the
-exact bytes of the cavity-coordinate grid, the trig factors, the
-frequency numerator, sigma and the state.  The grid checks, the mode
-count (with its errors and the low-cutoff warning) and the prefactor
-run on every call; a mass sweep contracts the kernels once, and every
-point is bit-identical to a call on its own.
+shared with the correlation).  The key is what the sum reads: omega0, L,
+hbar, c, the mode count and damping rate (so cutoffs that agree on both
+share it), the exact bytes of the cavity-coordinate grid, the trig
+factors, the frequency numerator, sigma and the state.  The grid checks,
+the mode count (with its errors and the low-cutoff warning) and the
+prefactor run on every call; a mass sweep contracts the kernels once,
+and every point is bit-identical to a call on its own.
 
 Positions are cavity coordinates measured from the fixed wall at x = 0
 (the movable wall sits at x = L); origin='movable' lets callers pass
@@ -151,21 +151,6 @@ def _cavity_grid(params, grid, origin):
     return x, xc
 
 
-def _profile_sum(params, cutoff, n_max, n, xc, part, freq_numerator, sigma,
-                 state):
-    """Kernel node count, the profile's mode sum over n modes on the grid xc
-    and its condition estimate; the sum is reused across masses (see
-    `model.mass_free_sum`)."""
-    if state not in STATES:
-        raise UsageError(f"state must be one of {STATES}, got {state!r}")
-    rate = damping_rate(cutoff)
-    return mass_free_sum(
-        params, ("profile", cutoff, n_max, xc, part, freq_numerator, sigma,
-                 state),
-        lambda: _contract(params, n, rate, xc, part, freq_numerator, sigma,
-                          state))
-
-
 def _contract(params, n, rate, xc, part, freq_numerator, sigma, state):
     """Kernel node count, the profile's mode sum on the grid xc and its
     condition estimate sum |terms| / max |value|.
@@ -195,6 +180,8 @@ def _contract(params, n, rate, xc, part, freq_numerator, sigma, state):
     cancel in the products.  So the work is O(r^2) per grid point whatever
     the mode count, and no per-mode array is built.
     """
+    if state not in STATES:
+        raise UsageError(f"state must be one of {STATES}, got {state!r}")
     w1 = params.omega1
     e, a = exp_sum(params.omega0 + 2.0 * w1, params.omega0 + 2.0 * n * w1)
     a = a * np.exp(-e * params.omega0)
@@ -254,8 +241,8 @@ def delta_energy_density(params: PhysicalParams, cutoff: CutoffSpec, grid,
     """
     x, xc = _cavity_grid(params, grid, origin)
     n = checked_mode_count(params, cutoff, n_max)
-    r, vals, cond = _profile_sum(params, cutoff, n_max, n, xc, "exp", True,
-                                 1.0, state)
+    r, vals, cond = mass_free_sum(_contract, params, n, damping_rate(cutoff),
+                                  xc, "exp", True, 1.0, state)
     pre = params.hbar**2 / (2.0 * params.length**3 * params.mass * params.omega0)
     return ObservableProfile("delta_energy_density", x, pre * vals, params,
                              cutoff, origin, n, state, r, cond)
@@ -276,8 +263,8 @@ def em_field_fluctuations(params: PhysicalParams, cutoff: CutoffSpec, grid,
     x, xc = _cavity_grid(params, grid, origin)
     trig, sigma = ("sin", -1.0) if component == "E" else ("cos", 1.0)
     n = checked_mode_count(params, cutoff, n_max)
-    r, vals, cond = _profile_sum(params, cutoff, n_max, n, xc, trig, True,
-                                 sigma, state)
+    r, vals, cond = mass_free_sum(_contract, params, n, damping_rate(cutoff),
+                                  xc, trig, True, sigma, state)
     pre = params.hbar**2 / (params.mass * params.omega0 * params.length**3)
     kind = "e_squared" if component == "E" else "b_squared"
     return ObservableProfile(kind, x, pre * vals, params, cutoff, origin, n,
@@ -293,8 +280,8 @@ def delta_phi_squared(params: PhysicalParams, cutoff: CutoffSpec, grid,
     """
     x, xc = _cavity_grid(params, grid, origin)
     n = checked_mode_count(params, cutoff, n_max)
-    r, vals, cond = _profile_sum(params, cutoff, n_max, n, xc, "sin", False,
-                                 1.0, state)
+    r, vals, cond = mass_free_sum(_contract, params, n, damping_rate(cutoff),
+                                  xc, "sin", False, 1.0, state)
     pre = (params.hbar**2 * params.c**2
            / (params.length**3 * params.mass * params.omega0))
     return ObservableProfile("delta_phi_squared", x, pre * vals, params,

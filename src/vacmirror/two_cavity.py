@@ -42,10 +42,10 @@ direct float64 sum (whose condition number sum |terms| / |value| reaches
 The mass enters C only through the prefactor, so the sum of the three
 structures is mass-free: a call that differs from the last mode-sum call
 only in the mass reuses it (`model.mass_free_sum`, shared with the
-profiles), keyed on omega0, L, hbar, c, the cutoff, n_max and the exact
-bytes of both grids.  The grid checks, the mode count
-(`model.checked_mode_count`), the prefactor and the negativity check run
-on every call.
+profiles), keyed on what it reads: omega0, L, hbar, c, the mode count,
+the damping rate and the exact bytes of both distance grids.  The grid
+checks, the mode count (`model.checked_mode_count`), the prefactor and
+the negativity check run on every call.
 """
 
 from __future__ import annotations
@@ -162,10 +162,8 @@ def squared_field_correlation_discrete(params: PhysicalParams, cutoff: CutoffSpe
     x1 = _check_grid("x1_grid", x1_grid, 0.0, L)
     x2 = _check_grid("x2_grid", x2_grid, L, 2.0 * L)
     n = checked_mode_count(params, cutoff, n_max)
-    rate = damping_rate(cutoff)
-    r, total = mass_free_sum(
-        params, ("correlation", cutoff, n_max, x1, x2),
-        lambda: _correlation_sum(params, n, rate, L - x1, x2 - L))
+    r, total = mass_free_sum(_correlation_sum, params, n, damping_rate(cutoff),
+                             L - x1, x2 - L)
     pre = (params.hbar**3 * params.c**4
            / (L**4 * params.mass * params.omega0))
     values = -pre * total

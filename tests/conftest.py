@@ -345,7 +345,7 @@ def direct_profile_sum(params, cutoff, n_max, xc, trigs, freq_numerator,
                        sigma, state):
     """Mode count and the profile's mode sum on the grid xc, by Hankel views.
 
-    The direct O(N^2) form of `single_cavity._profile_sum`: the N x N
+    The direct O(N^2) form of `single_cavity._contract`: the N x N
     denominator table as a view of h, multiplied out in float64.
 
     trigs holds one trig per field factor.  With T_k(x) = c_k trig(k_k x),

@@ -74,10 +74,10 @@ def test_parameter_error_exit_code(tmp_path, capsys):
     out = tmp_path / "x.csv"
     assert main(["energy-shift", "--m", "-3", "-o", str(out)]) == 2
     assert main(["energy-shift", "--cutoff", "weird:5", "-o", str(out)]) == 2
-    # --cutoff is checked where it enters, also for a command that has no
-    # use for it
-    assert main(["continuum", "--omega-m", "10", "--xt1", "1", "--xt2", "1",
-                 "--cutoff", "exp:-5", "-o", str(out)]) == 2
+    # --cutoff is checked where it enters, also for a method that reads
+    # only its kind
+    assert main(["correlation", "--method", "asymptotic", "--xt1", "6",
+                 "--xt2", "7", "--cutoff", "exp:-5", "-o", str(out)]) == 2
     captured = capsys.readouterr()
     assert "omega_m must be positive and finite" in captured.err
     assert captured.out == ""
@@ -189,13 +189,18 @@ def test_threads_ignore_environment(tmp_path, monkeypatch):
 @pytest.mark.parametrize("argv, message", [
     (["energy-shift", "--sweep", "volume=1,2"], "cannot sweep 'volume'"),
     (["continuum", "--omega-m", "10", "--xt1", "1", "--xt2", "1",
-      "--sweep", "cutoff-omega-m=10,20"], "needs --cutoff"),
+      "--sweep", "cutoff-omega-m=10,20"], "not a parameter of"),
     (["energy-shift", "--sweep", "xt1=1,2"], "not a parameter of"),
     (["energy-shift", "--sweep", "mass=2"], "at least 2 points"),
     (["energy-shift", "--threads", "0"], "threads must be >= 1"),
     (["energy-shift", "--sweep", "mass"], "at least 2 points"),
     (["energy-shift", "--sweep", "=1,2"], "cannot sweep ''"),
     (["energy-shift", "--si", "--sweep", "mass=2"], "at least 2 points"),
+    (["scaling", "--quantity", "far_field", "--axis", "distance",
+      "--points", "20:80:3:log", "--sweep", "cutoff-omega-m=10,20"],
+     "not a parameter of"),
+    (["correlation", "--method", "asymptotic", "--xt1", "6", "--xt2", "7",
+      "--sweep", "cutoff-omega-m=10,20"], "not a parameter of"),
 ])
 def test_sweep_and_threads_validation(tmp_path, capsys, argv, message):
     assert main(argv + ["-o", str(tmp_path / "x.csv")]) == 2
@@ -316,6 +321,116 @@ def test_rerun_rejects_malformed_sidecar(tmp_path, capsys, text, message):
     assert err.startswith("vacmirror: parameter error:")
     assert message in err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("argv, key", [
+    (["energy-shift"], "threads"),
+    (ES_SWEEP, "cutoff_kind"),
+    (["continuum", "--omega-m", "10", "--xt1", "1", "--xt2", "1"], "xt1"),
+], ids=["threads", "cutoff-kind", "continuum-xt1"])
+def test_rerun_rejects_sidecar_without_key(tmp_path, capsys, argv, key):
+    # a key the sidecar lacks is a parameter error that names it, not a
+    # KeyError, also where a sweep point reads it
+    first = tmp_path / "a.csv"
+    assert main(argv + ["-o", str(first)]) == 0
+    meta = json.loads(open(sidecar_path(str(first))).read())
+    del meta[key]
+    edited = tmp_path / "edited.meta.json"
+    edited.write_text(json.dumps(meta))
+    capsys.readouterr()
+    out = tmp_path / "b.csv"
+    assert main(["rerun", "--sidecar", str(edited), "-o", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("vacmirror: parameter error:")
+    assert repr(key) in err
+    assert not out.exists()
+
+
+# keys read by the writer (output), by build_config (si) or only in a
+# sweep (sweep_spec)
+READ_ELSEWHERE = {"output", "si", "sweep_spec"}
+
+
+@pytest.mark.parametrize("argv", [
+    ["energy-shift"],
+    ["spectrum"],
+    ["energy-density"],
+    ["em-fluct", "--component", "E"],
+    ["correlation"],
+    ASYMPTOTIC,
+    ["continuum", "--omega-m", "10", "--xt1", "1", "--xt2", "1"],
+    ["scaling", "--quantity", "continuum", "--axis", "mass",
+     "--points", "1,2,4"],
+    ["scaling", "--quantity", "far_field", "--axis", "distance",
+     "--points", "20:80:3:log"],
+    ORACLE,
+    ORACLE + ["--cavities", "2"],
+], ids=["energy-shift", "spectrum", "energy-density", "em-fluct",
+        "correlation", "asymptotic", "continuum", "scaling-continuum-mass",
+        "scaling-far-field-distance", "oracle-one", "oracle-two"])
+def test_every_recorded_key_is_read(argv):
+    # the configuration records only what the run reads, so its provenance
+    # holds no option that could not have changed the numbers
+    read = set()
+
+    class Recording(dict):
+        def __getitem__(self, key):
+            read.add(key)
+            return super().__getitem__(key)
+
+        def get(self, key, default=None):
+            read.add(key)
+            return super().get(key, default)
+
+    cfg = build_config(build_parser().parse_args(argv + ["-o", "x.csv"]))
+    compute_rows(Recording(cfg))
+    assert set(cfg) - read <= READ_ELSEWHERE
+
+
+@pytest.mark.parametrize("option", [["--cutoff", "exp:50"],
+                                    ["--sharp-rule", "total"],
+                                    ["--n-max", "3"]],
+                         ids=["cutoff", "sharp-rule", "n-max"])
+@pytest.mark.parametrize("argv", [
+    ["continuum", "--omega-m", "10", "--xt1", "1", "--xt2", "1"],
+    ["scaling", "--quantity", "far_field", "--axis", "distance",
+     "--points", "20:80:3:log"],
+    ORACLE,
+], ids=["continuum", "scaling", "oracle"])
+def test_mode_sum_options_only_on_mode_sum_commands(tmp_path, capsys, argv,
+                                                    option):
+    out = tmp_path / "x.csv"
+    assert _exit_code(argv + option + ["-o", str(out)]) == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
+    assert not out.exists()
+
+
+# the keys these commands recorded, and never read, before they dropped them
+OLD_KEYS = {"cutoff_kind": None, "cutoff_omega_m": None, "n_max": None,
+            "sharp_rule": "per_mode"}
+
+
+@pytest.mark.parametrize("argv, old_keys", [
+    (["continuum", "--omega-m", "10", "--xt1", "1", "--xt2", "1"], OLD_KEYS),
+    (ORACLE, {**OLD_KEYS, "x1": None, "x2": None}),
+], ids=["continuum", "oracle-one"])
+def test_rerun_of_sidecar_with_dropped_keys(tmp_path, argv, old_keys):
+    # an older sidecar that still holds them reruns to the CSV it was
+    # written with: the same rows, the keys in the provenance block
+    first = tmp_path / "a.csv"
+    assert main(argv + ["-o", str(first)]) == 0
+    meta = json.loads(open(sidecar_path(str(first))).read())
+    assert not set(old_keys) & set(meta)
+    meta.update(old_keys)
+    old = tmp_path / "old.meta.json"
+    old.write_text(json.dumps(meta))
+    lines = first.read_text().splitlines(keepends=True)
+    n = sum(ln.startswith("#") for ln in lines)
+    block = lines[:n] + [f"# {k} = {v}\n" for k, v in old_keys.items()]
+    block.sort(key=lambda ln: ln.split(" = ")[0])
+    out = tmp_path / "b.csv"
+    assert main(["rerun", "--sidecar", str(old), "-o", str(out)]) == 0
+    assert out.read_text() == "".join(block + lines[n:])
 
 
 def test_sweeps_start_no_thread(tmp_path, monkeypatch):

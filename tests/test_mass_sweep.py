@@ -71,12 +71,34 @@ def test_mass_sweep_contracts_once(tmp_path, monkeypatch, command):
                         "-o", str(tmp_path / "mass.csv")]) == 0
     assert len(calls) == once
 
-    # the cutoff is part of the key: every point contracts its own sum
+    # an exponential cutoff sets the mode count and the damping rate, two
+    # inputs of the sum: every point contracts its own sum
     _clear()
     calls.clear()
     assert main(argv + ["--m", "2", "--sweep", "cutoff-omega-m=20:40:5",
                         "-o", str(tmp_path / "cutoff.csv")]) == 0
     assert len(calls) == 5 * once
+
+
+@pytest.mark.parametrize("command", ["energy-density", "correlation"])
+def test_sharp_cutoff_sweep_at_one_mode_count_contracts_once(tmp_path,
+                                                              monkeypatch,
+                                                              command):
+    # sharp:30 and sharp:31 keep the same 9 modes, undamped: the sum reads
+    # only those, so the sweep contracts it once
+    argv = COMMANDS[command] + ["--cutoff", "sharp:30"]
+    calls = _count_contractions(monkeypatch)
+    assert main(argv + ["-o", str(tmp_path / "one.csv")]) == 0
+    once = len(calls)
+    assert once > 0
+
+    _clear()
+    calls.clear()
+    out = tmp_path / "sweep.csv"
+    assert main(argv + ["--sweep", "cutoff-omega-m=30,31", "-o", str(out)]) == 0
+    assert len(calls) == once
+    with open(sidecar_path(str(out))) as fh:
+        assert json.load(fh)["diag_n_modes"] == [9, 9]
 
 
 @pytest.mark.parametrize("cutoff", ["exp:31.4", "exp:10"])   # 10 < 5 omega0
