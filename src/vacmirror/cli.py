@@ -356,8 +356,10 @@ def _compute_profile(cfg):
         prof = em_field_fluctuations(params, cutoff, grid,
                                      component=cfg["component"],
                                      n_max=cfg["n_max"], origin=cfg["origin"])
-    table = Table([prof.grid_cavity, prof.grid_from_movable_wall, prof.values,
-                   *_const(len(prof.values), "discrete-sum", "")])
+    n = len(prof.values)
+    table = Table([Cycle(prof.grid_cavity, 1, n),
+                   Cycle(prof.grid_from_movable_wall, 1, n), prof.values,
+                   *_const(n, "discrete-sum", "")])
     return (["x", "x_from_movable_wall", "value", "method", "achieved_rel_tol"],
             table, {"n_modes": prof.n_modes, "kernel_nodes": prof.kernel_nodes,
                     "cond": prof.cond})
@@ -510,11 +512,15 @@ def compute_rows(cfg):
 
 
 def _concat(parts):
-    """One column from its per-point parts, in sweep order."""
+    """One column from its per-point parts, in sweep order.  Parts that are
+    Cycles of the same values, bit for bit, and the same every, each a
+    whole number of periods long, stay one Cycle."""
     first = parts[0]
-    if all(isinstance(p, Cycle) and len(p.values) == 1
-           and _text(p.values[0]) == _text(first.values[0]) for p in parts):
-        return Cycle(first.values, 1, sum(map(len, parts)))
+    if all(isinstance(p, Cycle) and p.every == first.every
+           and p.values.dtype == first.values.dtype
+           and p.values.tobytes() == first.values.tobytes()
+           and len(p) % (p.every * len(p.values)) == 0 for p in parts):
+        return Cycle(first.values, first.every, sum(map(len, parts)))
     parts = [p[0:len(p)] if isinstance(p, Cycle) else p for p in parts]
     if all(map(_is_float64, parts)):
         return np.concatenate(parts)
@@ -555,28 +561,73 @@ def _text(v) -> str:
 def _slots(values, encoding):
     """(text, keep) for a sequence of values: a uint8 array with one row of
     fixed width per value and the mask of its bytes to keep.  A float64
-    array is formatted by fmt17.slots, anything else by _text."""
+    array is formatted by fmt17.slots, anything else by _text.  As in
+    fmt17.slots, keep is one row broadcast when every value keeps the same
+    bytes: here, when their strings have one length."""
     if _is_float64(values):
         return slots(values)
     data = [_text(v).encode(encoding) for v in values]
-    width = max(1, max(map(len, data), default=0))
+    widths = set(map(len, data))
+    width = max(1, max(widths, default=0))
     text = np.array(data, dtype=f"S{width}").view(np.uint8).reshape(-1, width)
+    if len(widths) < 2:
+        keep = np.arange(width) < min(widths, default=0)
+        return text, np.broadcast_to(keep, text.shape)
     lengths = np.fromiter(map(len, data), np.int64, len(data))
     return text, np.arange(width) < lengths[:, None]
 
 
+def _uniform(keep) -> bool:
+    """Whether every row of a keep mask is the same: it has at most one
+    row, or is one row broadcast, as fmt17.slots and _slots return it when
+    their values keep the same bytes."""
+    return len(keep) < 2 or keep.strides[0] == 0
+
+
+def _block_slots(column, start, stop, encoding):
+    """(text, keep) of rows start:stop of one column.  A Cycle takes its
+    rows from its values' slots, and a one-value Cycle broadcasts its slot;
+    any other column is formatted row by row, a float64 array by
+    fmt17.slots."""
+    if not isinstance(column, Cycle):
+        return _slots(column[start:stop], encoding)
+    text, keep = column.slots(encoding)
+    shape = (stop - start, text.shape[1])
+    if len(column.values) == 1:
+        return np.broadcast_to(text, shape), np.broadcast_to(keep, shape)
+    rows = column.index(start, stop)
+    return (text.take(rows, axis=0),
+            np.broadcast_to(keep[0], shape) if _uniform(keep)
+            else keep.take(rows, axis=0))
+
+
+def _runs(mask):
+    """[begin, end] of each run of True in a 1-D bool array."""
+    runs = []
+    for i, kept in enumerate(mask.tolist()):
+        if kept and runs and runs[-1][1] == i:
+            runs[-1][1] = i + 1
+        elif kept:
+            runs.append([i, i + 1])
+    return runs
+
+
 def _format_block(columns, start, stop, encoding):
-    """The CSV lines of rows start:stop as a uint8 array: each column's
-    slots and its separator placed side by side, then the kept bytes in
-    row order.  A Cycle column takes its rows from its values' slots; any
-    other column is formatted row by row, a float64 array by fmt17.slots."""
-    parts = []
-    for column in columns:
-        if isinstance(column, Cycle):
-            rows = column.index(start, stop)
-            parts.append(tuple(a.take(rows, axis=0) for a in column.slots(encoding)))
-        else:
-            parts.append(_slots(column[start:stop], encoding))
+    """The CSV lines of rows start:stop as a 1-D uint8 array, assembled on
+    one of two paths from each column's slots (_block_slots).
+
+    Fixed width, when every column keeps the same bytes on every row (one
+    sign and one exponent width per float64 column, no value formatted
+    one by one, strings of one length): each column's kept bytes, as
+    slices of its slots, and the separators are copied side by side into
+    one (rows, width) array, whose rows are the lines; the bytes of a
+    one-value Cycle merge with the separators around them into one
+    constant slice.  Masked, in any other block: each column's slots and
+    their keep masks are placed side by side with the separators, then the
+    kept bytes are taken in row order."""
+    parts = [_block_slots(c, start, stop, encoding) for c in columns]
+    if all(_uniform(k) for _, k in parts):
+        return _fixed_width(parts, stop - start)
     width = sum(t.shape[1] + 1 for t, _ in parts)
     text = np.empty((stop - start, width), np.uint8)
     keep = np.ones((stop - start, width), bool)
@@ -589,6 +640,30 @@ def _format_block(columns, start, stop, encoding):
         at = end + 1
     text[:, -1] = ord("\n")
     return text[keep]
+
+
+def _fixed_width(parts, rows):
+    """_format_block's fixed-width path: parts whose keep masks are uniform."""
+    pieces, constant = [], b""
+    for i, (t, k) in enumerate(parts):
+        for begin, end in _runs(k[0]):
+            if t.strides[0] == 0:           # one slot broadcast
+                constant += t[0, begin:end].tobytes()
+            else:
+                if constant:
+                    pieces.append(np.frombuffer(constant, np.uint8))
+                    constant = b""
+                pieces.append(t[:, begin:end])
+        constant += b"," if i < len(parts) - 1 else b"\n"
+    pieces.append(np.frombuffer(constant, np.uint8))
+    out = np.empty((rows, sum(p.shape[-1] for p in pieces)), np.uint8)
+    at = 0
+    for piece in pieces:
+        end = at + piece.shape[-1]
+        # as one void item of end - at bytes per row: one copy per row
+        out[:, at:end].view(f"V{end - at}")[...] = piece.view(f"V{end - at}")
+        at = end
+    return out.ravel()
 
 
 def write_outputs(cfg, header, table, diagnostics, wall_time: float):
@@ -672,8 +747,9 @@ def main(argv=None) -> int:
         t1 = time.perf_counter()
         header, table, diag = _compute_recording_warnings(cfg)
         diag["stage_compute_s"] = time.perf_counter() - t1
-        # stdout carries the coupling only for a run that passed its checks
-        if cfg.get("si"):
+        # stdout carries the coupling only for a run that passed its checks,
+        # and not for oracle-validate, whose rows each set their own
+        if cfg.get("si") and cfg["command"] != "oracle-validate":
             print(f"# lambda = {_params_from(cfg).coupling_lambda:.6e}")
         write_outputs(cfg, header, table, diag, time.perf_counter() - t0)
         return 0

@@ -460,6 +460,17 @@ def test_si_units(tmp_path, capsys):
     assert again.read_bytes() == out.read_bytes()
 
 
+def test_si_oracle_validate_prints_no_lambda(tmp_path, capsys):
+    # each row's coupling sets its own mass, so no coupling follows from --m
+    out = tmp_path / "orc.csv"
+    assert main(["oracle-validate", "--si", "--omega0", "1e9", "--L", "1e-3",
+                 "--m", "1e-20", "--lambdas", "0.05", "--max-photons", "2",
+                 "--max-mirror", "2", "-o", str(out)]) == 0
+    assert capsys.readouterr().out == ""
+    _, header, rows = read_csv(out)
+    assert col(header, rows, "lam") == [0.05]
+
+
 def test_sweep_near_wall_monotone_in_cutoff(tmp_path):
     out = tmp_path / "sweep.csv"
     rc = main(["energy-density", "--m", "15.9154943091895349", "--omega0",
@@ -649,6 +660,17 @@ def test_cold_start_loads_no_fractions_or_decimal(tmp_path):
     assert (tmp_path / "sp.csv").read_bytes().count(b"\n") > 100
 
 
+def test_cold_start_builds_no_formatter_table(tmp_path):
+    # fmt17's powers of ten and digit tables are built by the first CSV
+    # write, not by set-up
+    code = ("from vacmirror import cli, fmt17\n"
+            "cli.build_parser()\n"
+            "assert fmt17._powers is None and fmt17._words is None\n"
+            "assert cli.main(['spectrum', '-o', 'sp.csv']) == 0\n"
+            "assert fmt17._powers is not None and fmt17._words is not None\n")
+    assert _cold_python(code, tmp_path) == []
+
+
 def test_cold_start_scipy_commands_run(tmp_path):
     # the oracle loads scipy on first use
     loaded = _cold_python(
@@ -736,6 +758,38 @@ def test_csv_columns_match_reference_formatter(tmp_path, argv):
     if argv[0] == "spectrum":
         assert 0.0 in table.columns[header.index("weight")]  # empty bins
     data = out.read_bytes().split(b"\n")[-len(table) - 1:]
+    assert data == [reference_csv_line(r).encode() for r in table] + [b""]
+
+
+def test_csv_blocks_switch_between_fixed_width_and_masked(tmp_path, monkeypatch):
+    # block 0 keeps the same bytes on every row of every column and takes
+    # the fixed-width path; blocks 1-4 each break that in one column only
+    # (a negative value, a 3-digit exponent, a nan, a longer string) and
+    # take the masked path; block 5 is uniform again, at other widths
+    b = BLOCK_ROWS
+    n = 6 * b - 11
+    rng = np.random.default_rng(11)
+    near_one = rng.uniform(1.0, 2.0, n)
+    small = rng.uniform(1.0, 2.0, n) * 1e-5
+    label = np.array(["abc"] * n, dtype=object)
+    near_one[b + 17] *= -1.0
+    small[2 * b + 5] = 3e150
+    near_one[3 * b + 9] = math.nan
+    label[4 * b + 100] = "abcd"
+    last = slice(5 * b, n)
+    near_one[last] *= -1.0
+    small[last] *= 1e-200
+    label[last] = "xyzzy-7"
+    table = Table([near_one, cli.Cycle(np.linspace(0.1, 0.9, 7), 3, n), small,
+                   label.tolist(), *cli._const(n, "discrete-sum")])
+    fixed = []
+    fixed_width = cli._fixed_width
+    monkeypatch.setattr(cli, "_fixed_width",
+                        lambda parts, rows: fixed.append(rows) or fixed_width(parts, rows))
+    out = tmp_path / "x.csv"
+    write_outputs({"command": "test", "output": str(out)}, ["c"] * 5, table, {}, 0.0)
+    assert fixed == [b, n - 5 * b]
+    data = out.read_bytes().split(b"\n")[-n - 1:]
     assert data == [reference_csv_line(r).encode() for r in table] + [b""]
 
 
@@ -881,6 +935,19 @@ def test_sweep_constant_columns_stay_one_cycle(argv):
     mass = columns["mass"]
     assert isinstance(mass, cli.Cycle)
     assert (mass.values.tolist(), mass.every, len(mass)) == ([1, 2, 4], rows, 3 * rows)
+    # so are the positions, the same at every point: one period per point
+    if argv[0] == "energy-density":
+        x = np.linspace(0.1, 0.9, 7)
+        grids = {"x": (x, 1), "x_from_movable_wall": (1.0 - x, 1)}
+    else:
+        x1, x2 = np.linspace(0.1, 0.9, 3), np.linspace(1.1, 1.9, 4)
+        grids = {"x1": (x1, 4), "x2": (x2, 1), "xt1": (1.0 - x1, 4),
+                 "xt2": (x2 - 1.0, 1)}
+    for name, (values, every) in grids.items():
+        column = columns[name]
+        assert isinstance(column, cli.Cycle), name
+        assert (column.every, len(column)) == (every, len(table)), name
+        assert np.allclose(column.values, values, rtol=0, atol=1e-15), name
 
 
 @pytest.mark.parametrize("spec", ["0:1:2000000", "1:2:2000000:log"])
