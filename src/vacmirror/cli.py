@@ -490,6 +490,9 @@ def compute_rows(cfg):
         raise ParameterError(f"cannot sweep {name!r}; sweepable: {sorted(SWEEPABLE)}")
     if cfg.get(name) is None:
         raise ParameterError(f"{name!r} is not a parameter of {cmd!r}")
+    if cmd == "oracle-validate" and name == "mass":
+        raise ParameterError("oracle-validate sets the mass from each coupling: "
+                             "scan the couplings with --lambdas, not --sweep mass")
     values = _parse_values(cfg["sweep_spec"])
     if len(values) < 2:
         raise ParameterError("a sweep needs at least 2 points")

@@ -15,9 +15,10 @@ V changes each cavity's photon number by 0 or +-2, so H is block
 diagonal in the per-cavity photon parities: 2 sectors for one cavity, 4
 for two.  `ground_state` solves each sector block on its own and keeps
 the lowest of the sector minima, which is the lowest eigenpair of the
-whole truncated model (at strong coupling it can lie in an odd sector).
-A block is solved densely when its dimension is at most DENSE_SOLVE_LIMIT
-and by Lanczos above it.
+whole truncated model (at strong coupling it can lie in an odd sector);
+a sector whose Gershgorin bound already lies above the lowest minimum
+found is not solved.  A block is solved densely when its dimension is at
+most DENSE_SOLVE_LIMIT and by Lanczos above it.
 
 The coupling is rank one (Law, PRA 51, 2537 (1995)): C_kj = u_k u_j with
 u_k = (-1)^k sqrt(C_kk).  With Q = sum_k u_k (a_k + a_k^dag) the pair sum
@@ -34,9 +35,11 @@ commutator [a, a^dag]_trunc = diag(1, ..., 1, -n_cap), so
     :Q^2: = Q^2 - sum_k u_k^2 [a_k, a_k^dag]_trunc
 
 holds exactly on the truncated ladders.  V is the mirror quadrature times
-this photon factor; Q, the commutator sum and the field operators are
-all sums of single-mode ladders, each built on the full basis straight
-from the occupation table.
+this photon factor.  Q, the mirror quadrature b + b^dag and the field
+operators are each one sparse matrix from the occupation table: every
+subsystem fills its own pair of diagonals +-stride (`_quadrature`).  The
+commutator sum is a diagonal vector of sqrt(n+1)^2 - sqrt(n)^2 (first
+term 0 at the cap), the very float products a a^dag - a^dag a forms.
 
 Caveat for strong coupling: the model is only metastable.  At mirror
 displacement xi = <b + b^dag> beyond 1/(2 lambda N) (N field modes with
@@ -134,30 +137,18 @@ class OracleResult:
     dim: int
 
 
-def _lowering(occ, dims, i) -> sp.csr_matrix:
-    """a_i on the full basis with occupation table occ and tensor sizes dims.
+def _quadrature(occ, dims, coeffs, sign) -> sp.csr_matrix:
+    """sum_i coeffs[i] (a_i + sign a_i^dag) over subsystems i, mirror first.
 
-    a_i |n> = sqrt(n_i) |n - e_i>, and |n - e_i> sits prod(dims[i+1:])
-    rows above |n>; a column with n_i = 0 stays empty.
+    a_i |n> = sqrt(n_i) |n - e_i>, and |n - e_i> sits stride_i =
+    prod(dims[i+1:]) rows above |n>, so subsystem i fills the diagonals
+    +-stride_i of one sparse matrix; zero entries are dropped.
     """
     import scipy.sparse as sp
-    stride = math.prod(dims[i + 1:])
-    return sp.diags(np.sqrt(occ[stride:, i]), stride, shape=(len(occ),) * 2,
-                    format="csr")
-
-
-def _ladder_sum(occ, dims, coeffs, op) -> sp.csr_matrix:
-    """sum_i coeffs[i] op(a) over photon modes i, a their lowering operator.
-
-    Photon mode i is subsystem i + 1 of the occupation table (the mirror
-    is subsystem 0); modes with a zero coefficient are skipped.
-    """
-    import scipy.sparse as sp
-    out = sp.csr_matrix((len(occ),) * 2)
-    for i, c in enumerate(coeffs):
-        if c != 0.0:
-            out = out + c * op(_lowering(occ, dims, i + 1))
-    return out
+    strides = [math.prod(dims[i + 1:]) for i in range(len(dims))]
+    up = [c * np.sqrt(occ[s:, i]) for i, (c, s) in enumerate(zip(coeffs, strides))]
+    return sp.diags(up + [sign * d for d in up], strides + [-s for s in strides],
+                    shape=(len(occ),) * 2, format="csr")
 
 
 def build_hamiltonian(params: PhysicalParams, truncation: TruncationSpec,
@@ -195,15 +186,19 @@ def build_hamiltonian(params: PhysicalParams, truncation: TruncationSpec,
     # V = -(b + b^dag) sum_cav sigma_cav (Q_cav^2 - sum_k u_k^2 [a_k, a_k^dag])
     u = np.array([(-1.0) ** k * math.sqrt(coupling_matrix_element(params, k, k))
                   for k in range(1, m + 1)])
+    # [a_k, a_k^dag]_trunc diagonals as a a^dag - a^dag a rounds them, not 1, -cap
+    n = occ[:, 1:]
+    raised = np.where(n < truncation.max_photons_per_mode, np.sqrt(n + 1), 0.0)
+    comm = raised * raised - np.sqrt(n) * np.sqrt(n)
     photon = sp.csr_matrix((dim, dim))
     for cav, sigma in enumerate((1.0,) if cavities == "one" else (1.0, -1.0)):
-        coeffs = np.zeros(n_fields)
-        coeffs[cav * m:(cav + 1) * m] = u
-        q = _ladder_sum(occ, dims, coeffs, lambda a: a + a.T)
-        comm = _ladder_sum(occ, dims, coeffs**2, lambda a: a @ a.T - a.T @ a)
-        photon = photon + sigma * (q @ q - comm)
-    b = _lowering(occ, dims, 0)
-    v = ((b + b.T) @ (-coupling_scale * photon)).tocsr()
+        coeffs = np.zeros(len(dims))
+        coeffs[1 + cav * m:1 + (cav + 1) * m] = u
+        q = _quadrature(occ, dims, coeffs, 1.0)
+        comm_sum = sum(u[k]**2 * comm[:, cav * m + k] for k in range(m))
+        photon = photon + sigma * (q @ q - sp.diags(comm_sum))
+    mirror = _quadrature(occ, dims, np.eye(len(dims))[0], 1.0)
+    v = (mirror @ (-coupling_scale * photon)).tocsr()
     v.eliminate_zeros()
 
     return OracleModel(params=params, truncation=truncation, cavities=cavities,
@@ -237,6 +232,11 @@ def ground_state(model: OracleModel, solver_tol: float = 1e-12) -> OracleResult:
     tied), embedded in the full basis with zeros in
     the other sectors.  The residual is taken on the full H, so it also
     certifies that no element couples two sectors.
+
+    Sectors after the first are skipped when their Gershgorin bound
+    min_i(H_ii - sum_{j!=i} |H_ij|) is at least the lowest minimum so far:
+    the block has no eigenvalue below it (roundoff stays far inside the
+    tie width), so the skip cannot change the chosen sector.
     """
     from scipy.linalg import eigh
     from scipy.sparse.linalg import ArpackNoConvergence, eigsh
@@ -249,6 +249,12 @@ def ground_state(model: OracleModel, solver_tol: float = 1e-12) -> OracleResult:
     best = None
     for idx in _parity_sectors(model):
         block = H[idx][:, idx]
+        if best is not None:
+            # Gershgorin: no eigenvalue of the block lies below this bound
+            d = block.diagonal()
+            radius = abs(block) @ np.ones(idx.size) - abs(d)
+            if (d - radius).min() >= best[0]:
+                continue
         if idx.size <= DENSE_SOLVE_LIMIT:
             evals, evecs = eigh(block.toarray(), subset_by_index=[0, 0])
         else:
@@ -303,10 +309,10 @@ def _field_operator(model: OracleModel, cavity: CavityTag, x: float,
         per_mode = k * np.cos(k * x) / np.sqrt(w)
     else:
         per_mode = np.sin(k * x) * np.sqrt(w)
-    coeffs = np.zeros(len(model.dims) - 1)
-    coeffs[offset:offset + m] = sign * math.sqrt(p.hbar * p.c**2 / L) * per_mode
-    op = (lambda a: a - a.T) if kind == "dot" else (lambda a: a + a.T)
-    return _ladder_sum(model.occupations, model.dims, coeffs, op)
+    coeffs = np.zeros(len(model.dims))
+    coeffs[1 + offset:1 + offset + m] = sign * math.sqrt(p.hbar * p.c**2 / L) * per_mode
+    return _quadrature(model.occupations, model.dims, coeffs,
+                       -1.0 if kind == "dot" else 1.0)
 
 
 def _vacuum_vector(model: OracleModel) -> np.ndarray:

@@ -201,6 +201,8 @@ def test_threads_ignore_environment(tmp_path, monkeypatch):
      "not a parameter of"),
     (["correlation", "--method", "asymptotic", "--xt1", "6", "--xt2", "7",
       "--sweep", "cutoff-omega-m=10,20"], "not a parameter of"),
+    # each coupling sets its own mass, so a mass sweep would repeat its rows
+    (["oracle-validate", "--sweep", "mass=1,2"], "scan the couplings with --lambdas"),
 ])
 def test_sweep_and_threads_validation(tmp_path, capsys, argv, message):
     assert main(argv + ["-o", str(tmp_path / "x.csv")]) == 2

@@ -1,3 +1,4 @@
+import math
 import tracemalloc
 import warnings
 
@@ -208,6 +209,90 @@ def test_ground_state_keeps_lower_key_on_degenerate_sectors(monkeypatch):
     outside = np.setdiff1d(np.arange(model.dim), sectors[1])
     assert np.abs(res.vector[sectors[1]]).max() > 0.1
     assert np.abs(res.vector[outside]).max() == 0.0
+
+
+def record_solved_sectors(model, monkeypatch):
+    """Patch both eigensolvers to record, in call order, the keys of the
+    parity sectors that ground_state solves, each told by its whole block."""
+    import scipy.linalg
+    import scipy.sparse
+    import scipy.sparse.linalg
+
+    H = model.h
+    blocks = [H[idx][:, idx].toarray() for idx in oracle._parity_sectors(model)]
+    solved = []
+
+    def spy(solver):
+        def wrapped(a, *args, **kwargs):
+            dense = a.toarray() if scipy.sparse.issparse(a) else a
+            solved.extend(s for s, b in enumerate(blocks) if np.array_equal(b, dense))
+            return solver(a, *args, **kwargs)
+        return wrapped
+
+    monkeypatch.setattr(scipy.linalg, "eigh", spy(scipy.linalg.eigh))
+    monkeypatch.setattr(scipy.sparse.linalg, "eigsh", spy(scipy.sparse.linalg.eigsh))
+    return solved
+
+
+def test_weak_coupling_solves_the_even_sector_alone(monkeypatch):
+    # oracle-ed's two-cavity point: the Gershgorin bounds of the three odd
+    # sectors lie 1.5-4.4 above the ground energy, so one Lanczos solve
+    import scipy.sparse.linalg
+
+    model = build_hamiltonian(params_for_lambda(0.025, omega0=math.pi),
+                              TruncationSpec(2, 4, 4), "two")
+    e_ref, v_ref = dense_ground_state(model)
+    real_eigsh = scipy.sparse.linalg.eigsh
+    calls = []
+
+    def counted_eigsh(*args, **kwargs):
+        calls.append(args[0].shape[0])
+        return real_eigsh(*args, **kwargs)
+
+    monkeypatch.setattr(scipy.sparse.linalg, "eigsh", counted_eigsh)
+    res = ground_state(model)
+    assert calls == [oracle._parity_sectors(model)[0].size]
+    assert abs(res.ground_energy - e_ref) <= 1e-13 * abs(model.h).max()
+    assert np.abs(res.vector - v_ref).max() <= 1e-10
+
+
+@pytest.mark.parametrize("lam, omega0, spec, cavities, skipped", [
+    (0.025, 1.0, (2, 4, 4), "two", {3}),
+    (0.05, 1.0, (1, 7, 7), "two", {1, 2, 3}),
+    (0.05, 1.0, (2, 6, 6), "one", set()),
+    (0.05, 1.0, (2, 8, 8), "one", set()),
+    (0.2, 1.0, (1, 7, 7), "two", set()),          # odd sectors 1 and 2 tie lowest
+    (0.025, math.pi, (2, 4, 4), "two", {1, 2, 3}),
+    (0.0125, math.pi, (2, 6, 6), "one", {1})])
+def test_skipped_sectors_lie_above_the_ground_energy(lam, omega0, spec, cavities,
+                                                     skipped, monkeypatch):
+    # a sector the Gershgorin bound skips has its exact block minimum at
+    # or above the returned energy less the tie width
+    model = build_hamiltonian(params_for_lambda(lam, omega0=omega0),
+                              TruncationSpec(*spec), cavities)
+    H = model.h
+    sectors = oracle._parity_sectors(model)
+    minima = [np.linalg.eigvalsh(H[idx][:, idx].toarray())[0] for idx in sectors]
+    solved = record_solved_sectors(model, monkeypatch)
+    res = ground_state(model)
+    assert solved == sorted(set(range(len(sectors))) - skipped)
+    tie = 1e-12 * abs(H).max()
+    assert all(minima[s] >= res.ground_energy - tie for s in skipped)
+    assert res.ground_energy == pytest.approx(min(minima), rel=0, abs=tie)
+
+
+def test_oracle_ed_point_keeps_its_bits():
+    # oracle-ed's two-cavity point (2 modes, caps 4, lambda 0.025, omega0 pi):
+    # the values of the per-ladder assembly and the solve of every sector,
+    # which the one-matrix quadratures and the sector screen reproduce bit
+    # for bit (on the numpy/scipy build they were recorded with)
+    model = build_hamiltonian(params_for_lambda(0.025, omega0=math.pi),
+                              TruncationSpec(2, 4, 4), "two")
+    res = ground_state(model)
+    assert res.ground_energy == float.fromhex("-0x1.1aca3c2a58bc6p-6")
+    assert res.residual_norm == float.fromhex("0x1.4a22ba1482767p-46")
+    assert expectation(model, res, ("phi2phi2", 0.63, 1.37)) == \
+        float.fromhex("-0x1.66aea6f4d8700p-11")
 
 
 def test_large_sectors_use_lanczos(monkeypatch):
