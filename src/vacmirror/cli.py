@@ -4,12 +4,11 @@ Each run writes one CSV data file (a '#'-prefixed provenance block with
 the full configuration, a header row, then one record per grid point)
 and a flat JSON sidecar (same configuration keys plus library version,
 wall-clock time and convergence diagnostics).  The computations return
-their records as a Table of float64 arrays and Cycle columns, which
-write_outputs streams in blocks of BLOCK_ROWS rows, each formatted in
-numpy (fmt17's exact "%.17e" for float64 values) and written as one
-byte buffer.  Identical configurations
-produce byte-identical CSV files; `vacmirror rerun` rebuilds the CSV from
-a sidecar alone.
+their records as an fmt17.Table of float64 arrays and Cycle columns;
+write_outputs writes the provenance block, the header and the sidecar,
+and fmt17.write_table the records, in blocks formatted in numpy.
+Identical configurations produce byte-identical CSV files; `vacmirror
+rerun` rebuilds the CSV from a sidecar alone.
 build_config takes the configuration from the parsed options, translating
 a few (it checks --cutoff, where it enters) and keeping only those the run
 reads; every other value is checked where the run uses it, in compute_rows
@@ -40,7 +39,7 @@ from . import __version__
 from .continuum import (DEFAULT_BUDGET, asymptotic_correlation,
                         continuum_correlation, scaling_probe)
 from .errors import (CapacityError, ConvergenceError, ParameterError, UsageError)
-from .fmt17 import slots
+from .fmt17 import Cycle, Table, concat, write_table
 from .model import CutoffSpec, PhysicalParams
 from .oracle import TruncationSpec, build_hamiltonian, expectation, ground_state
 from .perturb import energy_shift, photon_spectrum
@@ -53,9 +52,6 @@ SI_C = 2.99792458e8
 # configuration keys that may be swept and coerced to float
 SWEEPABLE = {"mass", "omega0", "length", "cutoff_omega_m", "xt1", "xt2",
              "bin_width", "rel_tol"}
-
-# rows per block of CSV output: each block is formatted and written at once
-BLOCK_ROWS = 8192
 
 
 def _parse_cutoff(text: str) -> tuple[str, float]:
@@ -99,13 +95,15 @@ def build_parser() -> argparse.ArgumentParser:
         description="Vacuum observables near a quantum-mechanical movable mirror")
     sub = ap.add_subparsers(dest="command", required=True)
 
-    def common(p):
-        p.add_argument("--m", "--mass", dest="mass", type=float, default=1.0,
-                       help="mirror mass")
+    def common(p, mass=True, length=True):  # --m and --L where the run reads them
+        if mass:
+            p.add_argument("--m", "--mass", dest="mass", type=float, default=1.0,
+                           help="mirror mass")
         p.add_argument("--omega0", type=float, default=1.0,
                        help="mirror angular frequency")
-        p.add_argument("--L", dest="length", type=float, default=1.0,
-                       help="cavity length")
+        if length:
+            p.add_argument("--L", dest="length", type=float, default=1.0,
+                           help="cavity length")
         p.add_argument("--hbar", type=float, default=None)
         p.add_argument("--c", type=float, default=None)
         p.add_argument("--si", action="store_true",
@@ -160,7 +158,7 @@ def build_parser() -> argparse.ArgumentParser:
                    default="warn")
 
     p = sub.add_parser("continuum", help="single-wall continuum correlation")
-    common(p)
+    common(p, length=False)
     p.add_argument("--omega-m", type=float, required=True,
                    help="exponential cutoff frequency")
     p.add_argument("--xt1", type=float, required=True)
@@ -171,7 +169,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--budget", type=float, default=DEFAULT_BUDGET)
 
     p = sub.add_parser("scaling", help="log-log scaling probes")
-    common(p)
+    common(p, length=False)
     p.add_argument("--quantity", choices=["asymptotic", "far_field", "continuum"],
                    required=True)
     p.add_argument("--axis", choices=["mass", "omega0", "distance"], required=True)
@@ -184,7 +182,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("oracle-validate",
                        help="exact diagonalization versus perturbation theory")
-    common(p)
+    common(p, mass=False)
     p.add_argument("--cavities", choices=["1", "2"], default="1")
     p.add_argument("--modes", type=int, default=None,
                    help="modes per cavity (default 2 one-cavity, 1 two-cavity)")
@@ -215,7 +213,8 @@ def build_config(args) -> dict:
     the grids default to fractions of L; oracle-validate's --cavities reads
     'one' or 'two' and --modes becomes modes_per_cavity.  Only keys the run
     reads are kept: a correlation drops its other method's, the asymptotic
-    law also the mode-sum keys but cutoff_kind, a one-cavity oracle x1, x2.
+    law also length and the mode-sum keys but cutoff_kind, a one-cavity
+    oracle x1, x2.
 
     Checks only --cutoff, where it enters; compute_rows and the _compute_*
     functions check every other value where the run uses it."""
@@ -233,15 +232,13 @@ def build_config(args) -> dict:
     cfg.update(hbar=hbar if cfg["hbar"] is None else cfg["hbar"],
                c=c if cfg["c"] is None else cfg["c"])
 
-    L = cfg["length"]
-    for key, default in (("grid", f"{0.01 * L!r}:{0.99 * L!r}:200"),
-                         ("x1_grid", f"{0.05 * L!r}:{0.95 * L!r}:10"),
-                         ("x2_grid", f"{1.05 * L!r}:{1.95 * L!r}:10")):
-        if key in cfg:
-            cfg[key] = cfg[key] or default
+    for key, lo, hi, n in (("grid", 0.01, 0.99, 200), ("x1_grid", 0.05, 0.95, 10),
+                           ("x2_grid", 1.05, 1.95, 10)):
+        if key in cfg and not cfg[key]:
+            cfg[key] = f"{lo * cfg['length']!r}:{hi * cfg['length']!r}:{n}"
     if cfg["command"] == "correlation":
         unused = (("x1_grid", "x2_grid", "negativity", "cutoff_omega_m",
-                   "sharp_rule", "n_max")
+                   "sharp_rule", "n_max", "length")
                   if cfg["method"] == "asymptotic" else ("xt1", "xt2"))
         for key in unused:
             del cfg[key]
@@ -255,9 +252,22 @@ def build_config(args) -> dict:
     return cfg
 
 
+def _unread(cfg) -> set:
+    """The parameters a run never reads, so never records: oracle-validate's
+    mass, which each coupling sets, and the continuum formulas' length."""
+    cmd = cfg["command"]
+    if cmd == "oracle-validate":
+        return {"mass"}
+    continuum = cmd in ("continuum", "scaling") or (
+        cmd == "correlation" and cfg["method"] == "asymptotic")
+    return {"length"} if continuum else set()
+
+
 def _params_from(cfg) -> PhysicalParams:
-    return PhysicalParams(cfg["mass"], cfg["omega0"], cfg["length"],
-                          cfg["hbar"], cfg["c"])
+    """The run's physical parameters, with 1 for each one it never reads."""
+    unread = _unread(cfg)
+    return PhysicalParams(*(1.0 if key in unread else cfg[key]
+                            for key in ("mass", "omega0", "length", "hbar", "c")))
 
 
 def _cutoff_from(cfg) -> CutoffSpec:
@@ -267,57 +277,6 @@ def _cutoff_from(cfg) -> CutoffSpec:
 # ---------------------------------------------------------------------------
 # per-command computations: return (header, table, diagnostics)
 # ---------------------------------------------------------------------------
-
-class Table:
-    """CSV records held as columns of equal length: float64 arrays and
-    Cycle columns, or in a small table sequences of any values.  len() is
-    the row count; iterating yields the rows as tuples."""
-
-    def __init__(self, columns):
-        self.columns = list(columns)
-
-    def __len__(self):
-        return len(self.columns[0]) if self.columns else 0
-
-    def __iter__(self):
-        return zip(*self.columns)
-
-
-def _is_float64(column) -> bool:
-    """Whether a column is a float64 array, which fmt17.slots formats."""
-    return isinstance(column, np.ndarray) and column.dtype == np.float64
-
-
-class Cycle:
-    """A column of n rows whose row i is values[(i // every) % len(values)],
-    as np.tile(np.repeat(values, every), ...) but expanded one slice at a
-    time; the writer formats each of its values once per table.  A
-    constant column is Cycle([value], 1, n)."""
-
-    def __init__(self, values, every, n):
-        self.values, self.every, self.n = np.asarray(values), every, n
-        self._slots = None
-
-    def __len__(self):
-        return self.n
-
-    def __iter__(self):
-        for start in range(0, self.n, BLOCK_ROWS):
-            yield from self[start:start + BLOCK_ROWS]
-
-    def __getitem__(self, rows: slice):
-        return self.values[self.index(*rows.indices(self.n))]
-
-    def index(self, start, stop, step=1):
-        """Positions in values of rows start:stop:step."""
-        return np.arange(start, stop, step) // self.every % len(self.values)
-
-    def slots(self, encoding):
-        """(text, keep) of every value, as _slots gives them; made once."""
-        if self._slots is None:
-            self._slots = _slots(self.values, encoding)
-        return self._slots
-
 
 def _const(n, *values):
     """One Cycle column per value, each value repeated n times."""
@@ -488,11 +447,11 @@ def compute_rows(cfg):
     _params_from(cfg)  # the base parameters are recorded, swept or not
     if name not in SWEEPABLE:
         raise ParameterError(f"cannot sweep {name!r}; sweepable: {sorted(SWEEPABLE)}")
-    if cfg.get(name) is None:
-        raise ParameterError(f"{name!r} is not a parameter of {cmd!r}")
     if cmd == "oracle-validate" and name == "mass":
         raise ParameterError("oracle-validate sets the mass from each coupling: "
                              "scan the couplings with --lambdas, not --sweep mass")
+    if cfg.get(name) is None:
+        raise ParameterError(f"{name!r} is not a parameter of {cmd!r}")
     values = _parse_values(cfg["sweep_spec"])
     if len(values) < 2:
         raise ParameterError("a sweep needs at least 2 points")
@@ -507,27 +466,11 @@ def compute_rows(cfg):
     # the swept column is a grid whenever every point has as many rows
     swept = (Cycle(values, counts[0], sum(counts)) if len(set(counts)) == 1
              else np.repeat(values, counts))
-    table = Table([swept, *map(_concat, zip(*(t.columns for t in tables)))])
+    table = Table([swept, *map(concat, zip(*(t.columns for t in tables)))])
     # each diagnostic becomes the list of its per-point values, in sweep order
     diag = {k: [sub_diag[k] for _, _, sub_diag in results]
             for k in results[0][2]}
     return header, table, diag
-
-
-def _concat(parts):
-    """One column from its per-point parts, in sweep order.  Parts that are
-    Cycles of the same values, bit for bit, and the same every, each a
-    whole number of periods long, stay one Cycle."""
-    first = parts[0]
-    if all(isinstance(p, Cycle) and p.every == first.every
-           and p.values.dtype == first.values.dtype
-           and p.values.tobytes() == first.values.tobytes()
-           and len(p) % (p.every * len(p.values)) == 0 for p in parts):
-        return Cycle(first.values, first.every, sum(map(len, parts)))
-    parts = [p[0:len(p)] if isinstance(p, Cycle) else p for p in parts]
-    if all(map(_is_float64, parts)):
-        return np.concatenate(parts)
-    return [v for p in parts for v in p]
 
 
 def _compute_recording_warnings(cfg):
@@ -556,121 +499,8 @@ def sidecar_path(output: str) -> str:
     return base + ".meta.json" if ext == ".csv" else output + ".meta.json"
 
 
-def _text(v) -> str:
-    """The CSV text of one value that is not in a float64 array."""
-    return "%.17e" % v if isinstance(v, float) else str(v)
-
-
-def _slots(values, encoding):
-    """(text, keep) for a sequence of values: a uint8 array with one row of
-    fixed width per value and the mask of its bytes to keep.  A float64
-    array is formatted by fmt17.slots, anything else by _text.  As in
-    fmt17.slots, keep is one row broadcast when every value keeps the same
-    bytes: here, when their strings have one length."""
-    if _is_float64(values):
-        return slots(values)
-    data = [_text(v).encode(encoding) for v in values]
-    widths = set(map(len, data))
-    width = max(1, max(widths, default=0))
-    text = np.array(data, dtype=f"S{width}").view(np.uint8).reshape(-1, width)
-    if len(widths) < 2:
-        keep = np.arange(width) < min(widths, default=0)
-        return text, np.broadcast_to(keep, text.shape)
-    lengths = np.fromiter(map(len, data), np.int64, len(data))
-    return text, np.arange(width) < lengths[:, None]
-
-
-def _uniform(keep) -> bool:
-    """Whether every row of a keep mask is the same: it has at most one
-    row, or is one row broadcast, as fmt17.slots and _slots return it when
-    their values keep the same bytes."""
-    return len(keep) < 2 or keep.strides[0] == 0
-
-
-def _block_slots(column, start, stop, encoding):
-    """(text, keep) of rows start:stop of one column.  A Cycle takes its
-    rows from its values' slots, and a one-value Cycle broadcasts its slot;
-    any other column is formatted row by row, a float64 array by
-    fmt17.slots."""
-    if not isinstance(column, Cycle):
-        return _slots(column[start:stop], encoding)
-    text, keep = column.slots(encoding)
-    shape = (stop - start, text.shape[1])
-    if len(column.values) == 1:
-        return np.broadcast_to(text, shape), np.broadcast_to(keep, shape)
-    rows = column.index(start, stop)
-    return (text.take(rows, axis=0),
-            np.broadcast_to(keep[0], shape) if _uniform(keep)
-            else keep.take(rows, axis=0))
-
-
-def _runs(mask):
-    """[begin, end] of each run of True in a 1-D bool array."""
-    runs = []
-    for i, kept in enumerate(mask.tolist()):
-        if kept and runs and runs[-1][1] == i:
-            runs[-1][1] = i + 1
-        elif kept:
-            runs.append([i, i + 1])
-    return runs
-
-
-def _format_block(columns, start, stop, encoding):
-    """The CSV lines of rows start:stop as a 1-D uint8 array, assembled on
-    one of two paths from each column's slots (_block_slots).
-
-    Fixed width, when every column keeps the same bytes on every row (one
-    sign and one exponent width per float64 column, no value formatted
-    one by one, strings of one length): each column's kept bytes, as
-    slices of its slots, and the separators are copied side by side into
-    one (rows, width) array, whose rows are the lines; the bytes of a
-    one-value Cycle merge with the separators around them into one
-    constant slice.  Masked, in any other block: each column's slots and
-    their keep masks are placed side by side with the separators, then the
-    kept bytes are taken in row order."""
-    parts = [_block_slots(c, start, stop, encoding) for c in columns]
-    if all(_uniform(k) for _, k in parts):
-        return _fixed_width(parts, stop - start)
-    width = sum(t.shape[1] + 1 for t, _ in parts)
-    text = np.empty((stop - start, width), np.uint8)
-    keep = np.ones((stop - start, width), bool)
-    at = 0
-    for t, k in parts:
-        end = at + t.shape[1]
-        text[:, at:end] = t
-        keep[:, at:end] = k
-        text[:, end] = ord(",")
-        at = end + 1
-    text[:, -1] = ord("\n")
-    return text[keep]
-
-
-def _fixed_width(parts, rows):
-    """_format_block's fixed-width path: parts whose keep masks are uniform."""
-    pieces, constant = [], b""
-    for i, (t, k) in enumerate(parts):
-        for begin, end in _runs(k[0]):
-            if t.strides[0] == 0:           # one slot broadcast
-                constant += t[0, begin:end].tobytes()
-            else:
-                if constant:
-                    pieces.append(np.frombuffer(constant, np.uint8))
-                    constant = b""
-                pieces.append(t[:, begin:end])
-        constant += b"," if i < len(parts) - 1 else b"\n"
-    pieces.append(np.frombuffer(constant, np.uint8))
-    out = np.empty((rows, sum(p.shape[-1] for p in pieces)), np.uint8)
-    at = 0
-    for piece in pieces:
-        end = at + piece.shape[-1]
-        # as one void item of end - at bytes per row: one copy per row
-        out[:, at:end].view(f"V{end - at}")[...] = piece.view(f"V{end - at}")
-        at = end
-    return out.ravel()
-
-
 def write_outputs(cfg, header, table, diagnostics, wall_time: float):
-    """Write the CSV, BLOCK_ROWS rows at a time, then the JSON sidecar,
+    """Write the CSV, its rows by fmt17.write_table, then the JSON sidecar,
     which adds the seconds spent on the CSV (diag_stage_write_s), its data
     row count (diag_rows) and the process's peak resident memory so far
     (diag_peak_rss_kib).  table is a Table or a plain list of rows."""
@@ -685,10 +515,7 @@ def write_outputs(cfg, header, table, diagnostics, wall_time: float):
             fh.write(f"# {key} = {cfg[key]}\n")
         fh.write(",".join(header) + "\n")
         fh.flush()  # the rows go straight to the byte buffer underneath
-        n = len(table)
-        for start in range(0, n, BLOCK_ROWS):
-            fh.buffer.write(_format_block(table.columns, start,
-                                          min(start + BLOCK_ROWS, n), fh.encoding))
+        write_table(fh.buffer, table, fh.encoding)
     write_s = time.perf_counter() - t0
 
     meta = dict(cfg)
@@ -750,9 +577,10 @@ def main(argv=None) -> int:
         t1 = time.perf_counter()
         header, table, diag = _compute_recording_warnings(cfg)
         diag["stage_compute_s"] = time.perf_counter() - t1
-        # stdout carries the coupling only for a run that passed its checks,
-        # and not for oracle-validate, whose rows each set their own
-        if cfg.get("si") and cfg["command"] != "oracle-validate":
+        # stdout carries the coupling only for a run that passed its checks
+        # and reads the mass and length it follows from: not oracle-validate,
+        # whose rows each set their own, nor the continuum formulas
+        if cfg.get("si") and not _unread(cfg):
             print(f"# lambda = {_params_from(cfg).coupling_lambda:.6e}")
         write_outputs(cfg, header, table, diag, time.perf_counter() - t0)
         return 0

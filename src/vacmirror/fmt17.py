@@ -1,4 +1,4 @@
-"""Exact vectorized "%.17e" for float64 arrays.
+"""Exact vectorized "%.17e" for float64 arrays, and the CSV writer built on it.
 
 `slots(x)` returns, for every value, the bytes of "%.17e" % x in a fixed
 slot of SLOT bytes, [-]d.ddddddddddddddddde(+|-)[h]dd, with a mask of the
@@ -24,13 +24,29 @@ The '-' is kept only for a negative value and byte 24 only for |p| >=
 width, no value formatted one by one) the mask is one row broadcast over
 all of them.  The tables (about 45 KB) and the powers of ten are built on
 first use, from Python integers, so importing the module builds nothing.
+
+The CSV writer lives here too.  A Table's columns are float64 arrays
+(formatted by slots), Cycles (each value formatted once per table) and, in
+a small table, sequences of any values ("%.17e" for a float, else str).
+write_table writes BLOCK_ROWS rows at a time.  A block lays its columns'
+slots side by side with the separators in one (rows, width) array: a
+column whose keep mask is uniform gives only the runs of bytes it keeps
+(a one-value Cycle's merge with the separators into one constant slice),
+any other column its whole slots and its mask.  The block is the array's
+rows, or, if some column gave a mask, its kept bytes in row order.  The
+module imports only numpy and the standard library.
 """
 
 from __future__ import annotations
 
+import re
+
 import numpy as np
 
-__all__ = ["SLOT", "slots"]
+__all__ = ["BLOCK_ROWS", "SLOT", "Cycle", "Table", "concat", "slots", "write_table"]
+
+# rows per block of CSV output: each block is formatted and written at once
+BLOCK_ROWS = 8192
 
 # bytes of the widest slot: sign, d, '.', 17 digits, 'e', exponent sign,
 # hundreds digit and two exponent digits
@@ -184,3 +200,158 @@ def slots(x):
         lengths = np.fromiter(map(len, strings), np.int64, rest.size)
         keep[rest] = np.arange(SLOT) < lengths[:, None]
     return text, keep
+
+
+class Table:
+    """CSV records held as columns of equal length: float64 arrays and
+    Cycle columns, or in a small table sequences of any values.  len() is
+    the row count; iterating yields the rows as tuples."""
+
+    def __init__(self, columns):
+        self.columns = list(columns)
+
+    def __len__(self):
+        return len(self.columns[0]) if self.columns else 0
+
+    def __iter__(self):
+        return zip(*self.columns)
+
+
+def _is_float64(column) -> bool:
+    """Whether a column is a float64 array, which slots formats."""
+    return isinstance(column, np.ndarray) and column.dtype == np.float64
+
+
+class Cycle:
+    """A column of n rows whose row i is values[(i // every) % len(values)],
+    as np.tile(np.repeat(values, every), ...) but expanded one slice at a
+    time; the writer formats each of its values once per table.  A
+    constant column is Cycle([value], 1, n)."""
+
+    def __init__(self, values, every, n):
+        self.values, self.every, self.n = np.asarray(values), every, n
+        self._slots = None
+
+    def __len__(self):
+        return self.n
+
+    def __iter__(self):
+        for start in range(0, self.n, BLOCK_ROWS):
+            yield from self[start:start + BLOCK_ROWS]
+
+    def __getitem__(self, rows: slice):
+        return self.values[self.index(*rows.indices(self.n))]
+
+    def index(self, start, stop, step=1):
+        """Positions in values of rows start:stop:step."""
+        return np.arange(start, stop, step) // self.every % len(self.values)
+
+    def slots(self, encoding):
+        """(text, keep) of every value, as _slots gives them; made once."""
+        if self._slots is None:
+            self._slots = _slots(self.values, encoding)
+        return self._slots
+
+
+def concat(parts):
+    """One column from its parts, in order.  Parts that are Cycles of the
+    same values, bit for bit, and the same every, each a whole number of
+    periods long, stay one Cycle."""
+    first = parts[0]
+    if all(isinstance(p, Cycle) and p.every == first.every
+           and p.values.dtype == first.values.dtype
+           and p.values.tobytes() == first.values.tobytes()
+           and len(p) % (p.every * len(p.values)) == 0 for p in parts):
+        return Cycle(first.values, first.every, sum(map(len, parts)))
+    parts = [p[0:len(p)] if isinstance(p, Cycle) else p for p in parts]
+    if all(map(_is_float64, parts)):
+        return np.concatenate(parts)
+    return [v for p in parts for v in p]
+
+
+def _slots(values, encoding):
+    """(text, keep) for a sequence of values: a uint8 array with one row of
+    fixed width per value and the mask of its bytes to keep.  A float64 array
+    is formatted by slots, any other value as "%.17e" if a float, else by
+    str(); keep is one row broadcast, as in slots, when all have one length."""
+    if _is_float64(values):
+        return slots(values)
+    data = [("%.17e" % v if isinstance(v, float) else str(v)).encode(encoding)
+            for v in values]
+    widths = set(map(len, data))
+    width = max(1, max(widths, default=0))
+    text = np.array(data, dtype=f"S{width}").view(np.uint8).reshape(-1, width)
+    if len(widths) < 2:
+        keep = np.arange(width) < min(widths, default=0)
+        return text, np.broadcast_to(keep, text.shape)
+    lengths = np.fromiter(map(len, data), np.int64, len(data))
+    return text, np.arange(width) < lengths[:, None]
+
+
+def _uniform(keep) -> bool:
+    """Whether every row of a keep mask is the same: it has at most one
+    row, or is one row broadcast, as slots and _slots return it when their
+    values keep the same bytes."""
+    return len(keep) < 2 or keep.strides[0] == 0
+
+
+def _block_slots(column, start, stop, encoding):
+    """(text, keep) of rows start:stop of one column.  A Cycle takes its
+    rows from its values' slots, and a one-value Cycle broadcasts its slot;
+    any other column is formatted row by row, a float64 array by slots."""
+    if not isinstance(column, Cycle):
+        return _slots(column[start:stop], encoding)
+    text, keep = column.slots(encoding)
+    shape = (stop - start, text.shape[1])
+    if len(column.values) == 1:
+        return np.broadcast_to(text, shape), np.broadcast_to(keep, shape)
+    rows = column.index(start, stop)
+    return (text.take(rows, axis=0),
+            np.broadcast_to(keep[0], shape) if _uniform(keep)
+            else keep.take(rows, axis=0))
+
+
+def _runs(mask):
+    """(begin, end) of each run of True in a 1-D bool array."""
+    return [run.span() for run in re.finditer(b"\x01+", mask.tobytes())]
+
+
+def _format_block(columns, start, stop, encoding):
+    """The CSV lines of rows start:stop as a 1-D uint8 array, assembled
+    from each column's slots (_block_slots) as the module docstring says:
+    pieces holds slices of slots and, between them, the bytes every row
+    shares; masks the mask of each masked slice, by its place."""
+    pieces, masks = [b""], {}
+    for i, column in enumerate(columns):
+        t, k = _block_slots(column, start, stop, encoding)
+        if not _uniform(k):
+            masks[len(pieces)] = k
+            pieces += [t, b""]
+        elif t.strides[0] == 0:             # one slot broadcast
+            pieces[-1] += t[0][k[0]].tobytes()
+        else:
+            for begin, end in _runs(k[0]):
+                pieces += [t[:, begin:end], b""]
+        pieces[-1] += b"," if i < len(columns) - 1 else b"\n"
+    pieces = [np.frombuffer(p, np.uint8) if isinstance(p, bytes) else p
+              for p in pieces]
+    out = np.empty((stop - start, sum(p.shape[-1] for p in pieces)), np.uint8)
+    keep = np.ones(out.shape, bool) if masks else None
+    at = 0
+    for i, piece in enumerate(pieces):
+        end = at + piece.shape[-1]
+        if end > at:
+            # as one void item of end - at bytes per row: one copy per row
+            out[:, at:end].view(f"V{end - at}")[...] = piece.view(f"V{end - at}")
+        if i in masks:
+            keep[:, at:end] = masks[i]
+        at = end
+    return out.ravel() if keep is None else out[keep]
+
+
+def write_table(buffer, table, encoding):
+    """Write table's CSV lines to the byte buffer, BLOCK_ROWS rows at a time."""
+    n = len(table)
+    for start in range(0, n, BLOCK_ROWS):
+        buffer.write(_format_block(table.columns, start,
+                                   min(start + BLOCK_ROWS, n), encoding))

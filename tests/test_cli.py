@@ -12,8 +12,9 @@ import pytest
 
 from vacmirror import (ConvergenceError, PhysicalParams, cli,
                        continuum_correlation, oracle)
-from vacmirror.cli import (BLOCK_ROWS, Table, build_config, build_parser,
-                           compute_rows, main, sidecar_path, write_outputs)
+from vacmirror.cli import (build_config, build_parser, compute_rows, main,
+                           sidecar_path, write_outputs)
+from vacmirror.fmt17 import BLOCK_ROWS, Table
 
 from conftest import reference_csv_line
 
@@ -203,6 +204,9 @@ def test_threads_ignore_environment(tmp_path, monkeypatch):
       "--sweep", "cutoff-omega-m=10,20"], "not a parameter of"),
     # each coupling sets its own mass, so a mass sweep would repeat its rows
     (["oracle-validate", "--sweep", "mass=1,2"], "scan the couplings with --lambdas"),
+    # the continuum formulas read no cavity length
+    (["continuum", "--omega-m", "10", "--xt1", "1", "--xt2", "1",
+      "--sweep", "length=1,2"], "not a parameter of"),
 ])
 def test_sweep_and_threads_validation(tmp_path, capsys, argv, message):
     assert main(argv + ["-o", str(tmp_path / "x.csv")]) == 2
@@ -329,7 +333,10 @@ def test_rerun_rejects_malformed_sidecar(tmp_path, capsys, text, message):
     (["energy-shift"], "threads"),
     (ES_SWEEP, "cutoff_kind"),
     (["continuum", "--omega-m", "10", "--xt1", "1", "--xt2", "1"], "xt1"),
-], ids=["threads", "cutoff-kind", "continuum-xt1"])
+    (ORACLE, "length"),
+    (["energy-shift"], "length"),
+], ids=["threads", "cutoff-kind", "continuum-xt1", "oracle-length",
+        "energy-shift-length"])
 def test_rerun_rejects_sidecar_without_key(tmp_path, capsys, argv, key):
     # a key the sidecar lacks is a parameter error that names it, not a
     # KeyError, also where a sweep point reads it
@@ -413,8 +420,9 @@ OLD_KEYS = {"cutoff_kind": None, "cutoff_omega_m": None, "n_max": None,
 
 
 @pytest.mark.parametrize("argv, old_keys", [
-    (["continuum", "--omega-m", "10", "--xt1", "1", "--xt2", "1"], OLD_KEYS),
-    (ORACLE, {**OLD_KEYS, "x1": None, "x2": None}),
+    (["continuum", "--omega-m", "10", "--xt1", "1", "--xt2", "1"],
+     {**OLD_KEYS, "length": 1.0}),
+    (ORACLE, {**OLD_KEYS, "x1": None, "x2": None, "mass": 1.0}),
 ], ids=["continuum", "oracle-one"])
 def test_rerun_of_sidecar_with_dropped_keys(tmp_path, argv, old_keys):
     # an older sidecar that still holds them reruns to the CSV it was
@@ -463,10 +471,10 @@ def test_si_units(tmp_path, capsys):
 
 
 def test_si_oracle_validate_prints_no_lambda(tmp_path, capsys):
-    # each row's coupling sets its own mass, so no coupling follows from --m
+    # each row's coupling sets its own mass, so the run prints no coupling
     out = tmp_path / "orc.csv"
     assert main(["oracle-validate", "--si", "--omega0", "1e9", "--L", "1e-3",
-                 "--m", "1e-20", "--lambdas", "0.05", "--max-photons", "2",
+                 "--lambdas", "0.05", "--max-photons", "2",
                  "--max-mirror", "2", "-o", str(out)]) == 0
     assert capsys.readouterr().out == ""
     _, header, rows = read_csv(out)
@@ -763,11 +771,12 @@ def test_csv_columns_match_reference_formatter(tmp_path, argv):
     assert data == [reference_csv_line(r).encode() for r in table] + [b""]
 
 
-def test_csv_blocks_switch_between_fixed_width_and_masked(tmp_path, monkeypatch):
-    # block 0 keeps the same bytes on every row of every column and takes
-    # the fixed-width path; blocks 1-4 each break that in one column only
-    # (a negative value, a 3-digit exponent, a nan, a longer string) and
-    # take the masked path; block 5 is uniform again, at other widths
+def test_csv_blocks_switch_between_fixed_width_and_masked(tmp_path):
+    # block 0 keeps the same bytes on every row of every column; blocks 1-4
+    # each break that in one column only (a negative value, a 3-digit
+    # exponent, a nan, a longer string), which alone is taken by mask;
+    # block 5 is uniform again, at other widths.  The one-value columns'
+    # bytes merge with the separators, also ahead of a masked column
     b = BLOCK_ROWS
     n = 6 * b - 11
     rng = np.random.default_rng(11)
@@ -782,15 +791,12 @@ def test_csv_blocks_switch_between_fixed_width_and_masked(tmp_path, monkeypatch)
     near_one[last] *= -1.0
     small[last] *= 1e-200
     label[last] = "xyzzy-7"
-    table = Table([near_one, cli.Cycle(np.linspace(0.1, 0.9, 7), 3, n), small,
-                   label.tolist(), *cli._const(n, "discrete-sum")])
-    fixed = []
-    fixed_width = cli._fixed_width
-    monkeypatch.setattr(cli, "_fixed_width",
-                        lambda parts, rows: fixed.append(rows) or fixed_width(parts, rows))
+    table = Table([*cli._const(n, -2.5e-7), near_one,
+                   cli.Cycle(np.linspace(0.1, 0.9, 7), 3, n), small,
+                   *cli._const(n, "pre"), label.tolist(),
+                   *cli._const(n, "discrete-sum")])
     out = tmp_path / "x.csv"
-    write_outputs({"command": "test", "output": str(out)}, ["c"] * 5, table, {}, 0.0)
-    assert fixed == [b, n - 5 * b]
+    write_outputs({"command": "test", "output": str(out)}, ["c"] * 7, table, {}, 0.0)
     data = out.read_bytes().split(b"\n")[-n - 1:]
     assert data == [reference_csv_line(r).encode() for r in table] + [b""]
 

@@ -1,6 +1,10 @@
-"""The vectorized %.17e of vacmirror.fmt17 against Python's own format."""
+"""The vectorized %.17e of vacmirror.fmt17 against Python's own format, and
+the module's imports."""
 
+import ast
+import sys
 from itertools import repeat
+from pathlib import Path
 
 import numpy as np
 
@@ -49,3 +53,20 @@ def test_edge_values_match_format():
                          1.7976931348623157e308, 1e300, 1e-300, 1e299, 1e-280])
     values = np.concatenate([powers_of_two, tens, ties, specials])
     _assert_matches_format(np.concatenate([values, -values]))
+
+
+def test_imports_only_the_standard_library_and_numpy():
+    # the formatter and writer stand apart from the engines; read statically,
+    # since importing the package imports every engine
+    path = Path(__file__).resolve().parents[1] / "src" / "vacmirror" / "fmt17.py"
+    tree = ast.parse(path.read_text())
+    names = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            names += [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            assert node.level == 0, "relative import"
+            names.append(node.module)
+    assert "numpy" in names
+    allowed = sys.stdlib_module_names | {"__future__", "numpy"}
+    assert {name.partition(".")[0] for name in names} <= allowed
