@@ -53,6 +53,11 @@ SI_C = 2.99792458e8
 SWEEPABLE = {"mass", "omega0", "length", "cutoff_omega_m", "xt1", "xt2",
              "bin_width", "rel_tol"}
 
+# options and parser defaults of the mode-sum keys the asymptotic law never reads
+MODE_SUM_DEFAULTS = {"length": ("--L", 1.0), "n_max": ("--n-max", None),
+                     "cutoff_omega_m": ("--cutoff's omega_m", 50.0),
+                     "sharp_rule": ("--sharp-rule", "per_mode")}
+
 
 def _parse_cutoff(text: str) -> tuple[str, float]:
     kind, _, val = text.partition(":")
@@ -212,9 +217,7 @@ def build_config(args) -> dict:
     sweep_spec; hbar and c default to 1 or, with --si, to their SI values;
     the grids default to fractions of L; oracle-validate's --cavities reads
     'one' or 'two' and --modes becomes modes_per_cavity.  Only keys the run
-    reads are kept: a correlation drops its other method's, the asymptotic
-    law also length and the mode-sum keys but cutoff_kind, a one-cavity
-    oracle x1, x2.
+    reads are kept (see _unread).
 
     Checks only --cutoff, where it enters; compute_rows and the _compute_*
     functions check every other value where the run uses it."""
@@ -236,31 +239,36 @@ def build_config(args) -> dict:
                            ("x2_grid", 1.05, 1.95, 10)):
         if key in cfg and not cfg[key]:
             cfg[key] = f"{lo * cfg['length']!r}:{hi * cfg['length']!r}:{n}"
-    if cfg["command"] == "correlation":
-        unused = (("x1_grid", "x2_grid", "negativity", "cutoff_omega_m",
-                   "sharp_rule", "n_max", "length")
-                  if cfg["method"] == "asymptotic" else ("xt1", "xt2"))
-        for key in unused:
-            del cfg[key]
     if cfg["command"] == "oracle-validate":
         one = cfg["cavities"] == "1"
         modes = cfg.pop("modes")
         cfg.update(cavities="one" if one else "two",
                    modes_per_cavity=(2 if one else 1) if modes is None else modes)
-        if one:
-            del cfg["x1"], cfg["x2"]
+    for key in _unread(cfg) & cfg.keys():
+        del cfg[key]
     return cfg
 
 
 def _unread(cfg) -> set:
-    """The parameters a run never reads, so never records: oracle-validate's
-    mass, which each coupling sets, and the continuum formulas' length."""
+    """The keys a run never reads, so never records: oracle-validate's mass,
+    which each coupling sets, and one cavity's x1, x2; a correlation's other
+    method's keys, and the asymptotic law's mode-sum keys at their defaults
+    (it rejects them otherwise); the continuum formulas' length, scaling's
+    xt on the distance axis and omega_m, rel_tol but for --quantity continuum."""
     cmd = cfg["command"]
     if cmd == "oracle-validate":
-        return {"mass"}
-    continuum = cmd in ("continuum", "scaling") or (
-        cmd == "correlation" and cfg["method"] == "asymptotic")
-    return {"length"} if continuum else set()
+        return {"mass"} | ({"x1", "x2"} if cfg["cavities"] == "one" else set())
+    if cmd == "correlation":
+        if cfg["method"] != "asymptotic":
+            return {"xt1", "xt2"}
+        return {"x1_grid", "x2_grid", "negativity"} | {
+            k for k, (_, v) in MODE_SUM_DEFAULTS.items() if cfg.get(k, v) == v}
+    if cmd == "scaling":
+        reads = {"xt": cfg["axis"] != "distance",
+                 "omega_m": cfg["quantity"] == "continuum",
+                 "rel_tol": cfg["quantity"] == "continuum"}
+        return {"length"} | {key for key, read in reads.items() if not read}
+    return {"length"} if cmd == "continuum" else set()
 
 
 def _params_from(cfg) -> PhysicalParams:
@@ -333,6 +341,13 @@ def _compute_correlation(cfg):
             raise ParameterError(
                 "--method asymptotic is incompatible with a sharp cutoff; "
                 "the closed form assumes omega_m -> infinity")
+        given = [f"{option} {cfg[key]!r}"
+                 for key, (option, default) in MODE_SUM_DEFAULTS.items()
+                 if cfg.get(key, default) != default]
+        if given:
+            raise ParameterError(
+                f"--method asymptotic reads no cavity length and no mode-sum "
+                f"option, got {', '.join(given)}")
         value = asymptotic_correlation(params, cfg["xt1"], cfg["xt2"])
         return (["xt1", "xt2", "value", "method", "achieved_rel_tol"],
                 Table([[cfg["xt1"]], [cfg["xt2"]], [value], ["asymptotic"],
@@ -367,9 +382,9 @@ def _compute_continuum(cfg):
 
 def _compute_scaling(cfg):
     params = _params_from(cfg)
+    keys = {"xt", "omega_m", "rel_tol"} - _unread(cfg)
     probes = scaling_probe(params, cfg["quantity"], cfg["axis"],
-                           _parse_values(cfg["points"]), xt=cfg["xt"],
-                           omega_m=cfg["omega_m"], rel_tol=cfg["rel_tol"])
+                           _parse_values(cfg["points"]), **{k: cfg[k] for k in keys})
     table = Table([[p.parameter for p in probes], [p.value for p in probes],
                    [p.log_slope for p in probes],
                    *_const(len(probes), cfg["quantity"], "")])
@@ -580,7 +595,7 @@ def main(argv=None) -> int:
         # stdout carries the coupling only for a run that passed its checks
         # and reads the mass and length it follows from: not oracle-validate,
         # whose rows each set their own, nor the continuum formulas
-        if cfg.get("si") and not _unread(cfg):
+        if cfg.get("si") and not {"mass", "length"} & _unread(cfg):
             print(f"# lambda = {_params_from(cfg).coupling_lambda:.6e}")
         write_outputs(cfg, header, table, diag, time.perf_counter() - t0)
         return 0

@@ -60,16 +60,15 @@ Two independent evaluation paths are provided and cross-validated:
 - 'full_quadrature': direct tensor-product Gauss-Legendre quadrature of
   the k integrals on axes truncated where the exponential damping makes
   the tail negligible, with half-wavelength panels and global panel
-  doubling until two refinement levels agree.  Within a cavity the
-  summand is symmetric in its two wavenumbers, so each cavity's pairs
-  are folded to p <= q (doubled weight off the diagonal).  The kernel
-  1/(K1 + K2) goes through the exponential sum of `kernels` (r = 25 to
-  70 terms on the range K1 + K2 takes, within 1e-15 relative): each
-  cavity's folded pairs are projected onto the nodes by
-  `kernels.project`, so a level with n nodes per axis costs O(n^2 r)
-  and memory stays bounded.  The evaluation budget caps this path and
-  counts the nominal tensor summands n1^2 n2^2, which grow with
-  (omega_m xt / c)^4 and overstate the work by about n^2 / r.
+  doubling until two refinement levels agree.  The kernel 1/(K1 + K2)
+  goes through the exponential sum of `kernels` (r = 25 to 70 terms,
+  within 1e-15 relative), whose factor e^(-e_r K) = e^(-e_r k_p)
+  e^(-e_r k_q) splits each cavity's pair (p, q): a level with n nodes per
+  axis costs n r exponentials and one product of the n x n table of
+  1/(w0 + c K) with an n x r table per cavity, two n^2 r products in all.
+  The evaluation budget caps this path, is checked before any table is
+  built and counts the nominal tensor summands n1^2 n2^2, which grow
+  with (omega_m xt / c)^4.
 
 Every structure in the integrand is a positive quadratic form, so
 C < 0 for all distances and cutoffs.  The mass enters the prefactor only:
@@ -126,7 +125,7 @@ import numpy as np
 from numpy.polynomial.legendre import leggauss
 
 from .errors import ConvergenceError, UsageError
-from .kernels import exp_sum, project
+from .kernels import exp_sum
 from .model import PhysicalParams
 
 __all__ = [
@@ -302,40 +301,32 @@ def _axis_rule(xt, k_max, k_struct, scale):
     return _panel_rule(_axis_edges(xt, k_max, k_struct, scale), *_gauss(GL_AXIS))
 
 
-def _pair_arrays(params, omega_m, xt, k, w):
-    """One cavity's pairs p <= q of its axis rule (k, w): weights and K sums.
-
-    The summand depends on (p, q) only through K = k_p + k_q and
-    amp_p amp_q, so the pairs (p, q) and (q, p) are folded into one whose
-    weight is doubled when p != q.
-    """
-    amp = w * np.sin(k * xt) * np.exp(-params.c * k / omega_m)
-    p, q = np.triu_indices(k.size)
-    P = amp[p] * amp[q]
-    P[p != q] *= 2.0
-    return P, k[p] + k[q]
+def _cavity_sums(params, omega_m, xt, k, w, e):
+    """Sums over the ordered pairs (p, q) of one cavity's rule (k, w), of
+    amp_p amp_q times D = 1/(w0 + c (k_p + k_q)), times e^{-e_r k_p}
+    e^{-e_r k_q} and times both, at each node e_r."""
+    c = params.c
+    amp = w * np.sin(k * xt) * np.exp(-c * k / omega_m)
+    D = 1.0 / (params.omega0 + c * (k[:, None] + k))
+    U = amp[:, None] * np.exp(-np.multiply.outer(k, e))
+    return amp @ D @ amp, U.sum(0) ** 2, np.einsum("pr,pr->r", U, D @ U)
 
 
 def _full_level(params, omega_m, xt1, xt2, k_max, k_struct, scale, budget, spent):
-    w0, c = params.omega0, params.c
-    rule1 = _axis_rule(xt1, k_max, k_struct, scale)
-    rule2 = _axis_rule(xt2, k_max, k_struct, scale)
+    k1, w1 = _axis_rule(xt1, k_max, k_struct, scale)
+    k2, w2 = _axis_rule(xt2, k_max, k_struct, scale)
     # the budget counts the n1^2 n2^2 ordered pairs of the two axis rules;
-    # it is checked before any pair array exists
-    cost = (rule1[0].size * rule2[0].size) ** 2
+    # it is checked before any table exists
+    cost = (k1.size * k2.size) ** 2
     if spent + cost > budget:
         return None, cost
-    P1, K1 = _pair_arrays(params, omega_m, xt1, *rule1)
-    P2, K2 = _pair_arrays(params, omega_m, xt2, *rule2)
-    D1 = 1.0 / (w0 + c * K1)
-    D2 = 1.0 / (w0 + c * K2)
-    t1 = float(np.dot(P1, D1) * np.dot(P2, D2))
     # both cross structures share 1/(K1 + K2) = sum_r a_r e^{-e_r K1}
-    # e^{-e_r K2}; the common factor 1/c is applied once at the end
-    e, a = exp_sum(K1.min() + K2.min(), K1.max() + K2.max())
-    F1 = project(np.vstack((P1 * D1, P1)), K1, e)
-    F2 = project(np.vstack((P2, P2 * D2)), K2, e)
-    return t1 + float(np.sum(F1 * F2 @ a)) / c, cost
+    # e^{-e_r K2} on the range of the pair sums; the common factor 1/c is
+    # applied once at the end
+    e, a = exp_sum(2.0 * (k1.min() + k2.min()), 2.0 * (k1.max() + k2.max()))
+    t1, s1, q1 = _cavity_sums(params, omega_m, xt1, k1, w1, e)
+    t2, s2, q2 = _cavity_sums(params, omega_m, xt2, k2, w2, e)
+    return float(t1 * t2 + a @ (q1 * s2 + s1 * q2) / params.c), cost
 
 
 def _full_quadrature(params, omega_m, xt1, xt2, rel_tol, budget):

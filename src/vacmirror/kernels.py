@@ -8,9 +8,10 @@ interval [lo, hi] it takes, 1/x is the separable sum
     1/x ~= sum_r w_r exp(-e_r x),
 
 and a Hankel kernel 1/(c + y_j + y_k) becomes
-sum_r (w_r e^{-e_r c}) e^{-e_r y_j} e^{-e_r y_k}.  `project` gives each
-side of a Cauchy contraction A (1/(U_t + V_u)) B^T =
-(A F_U) diag(w) (B F_V)^T, F_U[t, r] = e^{-e_r U_t}.  The nodes start
+sum_r (w_r e^{-e_r c}) e^{-e_r y_j} e^{-e_r y_k}, so a Cauchy contraction
+A (1/(U_t + V_u)) B^T is (A F_U) diag(w) (B F_V)^T with
+F_U[t, r] = e^{-e_r U_t}: tables of len(U) x r exponentials instead of
+len(U) x len(V) kernel entries.  The nodes start
 from the trapezoidal rule for 1/x = int exp(tau - x e^tau) dtau with step
 1/4 on the nodes tau = m/4, m integer, which are exact in binary.  The
 rule's discretization error is about 2e-16 relative; the range of tau
@@ -98,16 +99,6 @@ def blocks(n: int, width: int) -> list[slice]:
     `width` float64 wide that fits in BLOCK_BYTES."""
     step = max(1, BLOCK_BYTES // (8 * width))
     return [slice(lo, min(lo + step, n)) for lo in range(0, n, step)]
-
-
-def project(A: np.ndarray, W: np.ndarray, e: np.ndarray) -> np.ndarray:
-    """A @ exp(-outer(W, e)), summed over blocks of W: the rows of A
-    projected onto the nodes e, without the len(W) x len(e) table."""
-    out = np.zeros((A.shape[0], e.size))
-    for b in blocks(W.size, e.size):
-        F = np.multiply.outer(W[b], -e)
-        out += A[:, b] @ np.exp(F, out=F)
-    return out
 
 
 def geometric_sums(d: np.ndarray, theta: np.ndarray, n: int, p: int,

@@ -207,6 +207,13 @@ def test_threads_ignore_environment(tmp_path, monkeypatch):
     # the continuum formulas read no cavity length
     (["continuum", "--omega-m", "10", "--xt1", "1", "--xt2", "1",
       "--sweep", "length=1,2"], "not a parameter of"),
+    # a scaling probe reads rel_tol only for the continuum quantity
+    (["scaling", "--quantity", "far_field", "--axis", "distance",
+      "--points", "20:80:3:log", "--sweep", "rel-tol=1e-6,1e-7"],
+     "not a parameter of"),
+    (["scaling", "--quantity", "asymptotic", "--axis", "mass",
+      "--points", "1,2,4", "--sweep", "rel-tol=1e-6,1e-7"],
+     "not a parameter of"),
 ])
 def test_sweep_and_threads_validation(tmp_path, capsys, argv, message):
     assert main(argv + ["-o", str(tmp_path / "x.csv")]) == 2
@@ -242,11 +249,12 @@ ORACLE = ["oracle-validate", "--lambdas", "0.05", "--max-photons", "2",
     (ASYMPTOTIC, "xt1", None,
      ["correlation", "--method", "asymptotic", "--xt2", "7"],
      "needs --xt1 and --xt2"),
+    (ASYMPTOTIC, "n_max", 5, ASYMPTOTIC + ["--n-max", "5"], "--n-max 5"),
     (ORACLE, "lambdas", "0", ORACLE + ["--lambdas", "0"],
      "couplings must be positive and finite"),
     (ES_SWEEP, "command", "bogus", ["bogus"], "invalid choice: 'bogus'"),
 ], ids=["sweep-param", "sweep-spec", "threads", "cutoff-kind", "xt1",
-        "lambdas", "command"])
+        "n-max", "lambdas", "command"])
 def test_rerun_meets_command_line_checks(tmp_path, capsys, argv, key, value,
                                          command_line, message):
     # a sidecar edited in one key is rejected as its command line is:
@@ -372,11 +380,17 @@ READ_ELSEWHERE = {"output", "si", "sweep_spec"}
      "--points", "1,2,4"],
     ["scaling", "--quantity", "far_field", "--axis", "distance",
      "--points", "20:80:3:log"],
+    ["scaling", "--quantity", "continuum", "--axis", "distance",
+     "--points", "1,2,4"],
+    ["scaling", "--quantity", "asymptotic", "--axis", "omega0",
+     "--points", "1,2,4", "--xt", "20", "--omega-m", "50",
+     "--rel-tol", "1e-8"],
     ORACLE,
     ORACLE + ["--cavities", "2"],
 ], ids=["energy-shift", "spectrum", "energy-density", "em-fluct",
         "correlation", "asymptotic", "continuum", "scaling-continuum-mass",
-        "scaling-far-field-distance", "oracle-one", "oracle-two"])
+        "scaling-far-field-distance", "scaling-continuum-distance",
+        "scaling-asymptotic-omega0", "oracle-one", "oracle-two"])
 def test_every_recorded_key_is_read(argv):
     # the configuration records only what the run reads, so its provenance
     # holds no option that could not have changed the numbers
@@ -414,6 +428,33 @@ def test_mode_sum_options_only_on_mode_sum_commands(tmp_path, capsys, argv,
     assert not out.exists()
 
 
+@pytest.mark.parametrize("option, message", [
+    (["--L", "2.5"], "--L 2.5"),
+    (["--n-max", "5"], "--n-max 5"),
+    (["--sharp-rule", "total"], "--sharp-rule 'total'"),
+    (["--cutoff", "exp:7"], "--cutoff's omega_m 7.0"),
+    (["--n-max", "5", "--sharp-rule", "total", "--cutoff", "exp:7"],
+     "--n-max 5, --cutoff's omega_m 7.0, --sharp-rule 'total'"),
+    # a sharp cutoff keeps its own message
+    (["--cutoff", "sharp:7", "--n-max", "5"], "incompatible with a sharp cutoff"),
+], ids=["length", "n-max", "sharp-rule", "cutoff", "all", "sharp"])
+def test_asymptotic_rejects_mode_sum_options(tmp_path, capsys, option, message):
+    # the closed form reads no cavity length and no mode sum, so an option
+    # of either that differs from its default is an error that names it;
+    # at their defaults they are dropped and the row is unchanged
+    out = tmp_path / "x.csv"
+    assert main(ASYMPTOTIC + option + ["-o", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("vacmirror: parameter error:")
+    assert message in err
+    assert not out.exists()
+    plain, defaults = tmp_path / "plain.csv", tmp_path / "defaults.csv"
+    assert main(ASYMPTOTIC + ["-o", str(plain)]) == 0
+    assert main(ASYMPTOTIC + ["--L", "1", "--cutoff", "exp:50", "--sharp-rule",
+                              "per_mode", "-o", str(defaults)]) == 0
+    assert defaults.read_text() == plain.read_text()
+
+
 # the keys these commands recorded, and never read, before they dropped them
 OLD_KEYS = {"cutoff_kind": None, "cutoff_omega_m": None, "n_max": None,
             "sharp_rule": "per_mode"}
@@ -423,7 +464,13 @@ OLD_KEYS = {"cutoff_kind": None, "cutoff_omega_m": None, "n_max": None,
     (["continuum", "--omega-m", "10", "--xt1", "1", "--xt2", "1"],
      {**OLD_KEYS, "length": 1.0}),
     (ORACLE, {**OLD_KEYS, "x1": None, "x2": None, "mass": 1.0}),
-], ids=["continuum", "oracle-one"])
+    (["scaling", "--quantity", "far_field", "--axis", "distance",
+      "--points", "20:80:3:log"],
+     {"xt": None, "omega_m": None, "rel_tol": 1e-6}),
+    (ASYMPTOTIC, {"cutoff_omega_m": 50.0, "n_max": None,
+                  "sharp_rule": "per_mode", "length": 1.0}),
+], ids=["continuum", "oracle-one", "scaling-far-field-distance",
+        "asymptotic"])
 def test_rerun_of_sidecar_with_dropped_keys(tmp_path, argv, old_keys):
     # an older sidecar that still holds them reruns to the CSV it was
     # written with: the same rows, the keys in the provenance block

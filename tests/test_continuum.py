@@ -109,9 +109,9 @@ def test_partial_analytic_budget_stops_work(params_unit, monkeypatch):
 @pytest.mark.parametrize("xt1, xt2, wm", [(0.08, 0.10, 10.0), (0.12, 0.09, 12.0),
                                           (0.5, 0.5, 1.0)])
 def test_full_level_matches_unfolded_sum(xt1, xt2, wm, scale):
-    # the folded, blocked level evaluates the same rule as the direct sum
-    # over every ordered pair; xt1 != xt2 checks that the fold treats the
-    # two cavities separately.  Non-unit c and omega0 keep the 1/c of the
+    # the level's matrix products evaluate the same rule as the direct sum
+    # over every ordered pair; xt1 != xt2 checks that the two cavities'
+    # sums are kept apart.  Non-unit c and omega0 keep the 1/c of the
     # kernel in play
     p = PhysicalParams(mass=1.0, omega0=0.8, length=1.0, c=1.25)
     k_max = 20.0 * wm / p.c
@@ -123,9 +123,27 @@ def test_full_level_matches_unfolded_sum(xt1, xt2, wm, scale):
     assert abs(total - ref) <= 1e-13 * abs(ref)
 
 
+@pytest.mark.parametrize("scale", [1.0, 1.5])
+@pytest.mark.parametrize("xt1, xt2, wm", [(0.08, 0.10, 10.0), (0.12, 0.09, 12.0),
+                                          (0.10, 0.14, 20.0)])
+def test_full_level_symmetric_in_the_cavities(xt1, xt2, wm, scale):
+    # swapping the cavities swaps the two cross structures, q1 s2^2 and
+    # s1^2 q2, and the factors of T1: a level pairing a cavity's
+    # denominator with the wrong cavity's sums breaks the symmetry
+    p = PhysicalParams(mass=1.0, omega0=0.8, length=1.0, c=1.25)
+    k_max = 20.0 * wm / p.c
+    k_struct = min(p.omega0, wm) / p.c
+    rest = (k_max, k_struct, scale, 1e12, 0)
+    total, cost = continuum._full_level(p, wm, xt1, xt2, *rest)
+    swapped, swapped_cost = continuum._full_level(p, wm, xt2, xt1, *rest)
+    assert cost == swapped_cost
+    assert abs(swapped - total) <= 1e-15 * abs(total)
+
+
 def test_full_quadrature_memory_bound(params_unit):
-    # the kernel is contracted in fixed-size blocks: the benchmark point
-    # (8.6e8 nominal summands) stays within a few MiB of Python allocations
+    # each level builds only n x n and n x r tables per cavity: the
+    # benchmark point (8.6e8 nominal summands) stays within a few MiB of
+    # Python allocations
     tracemalloc.start()
     try:
         continuum_correlation(params_unit, 15.0, 0.15, 0.15, rel_tol=1e-7,
@@ -136,10 +154,25 @@ def test_full_quadrature_memory_bound(params_unit):
     assert peak < 16 * 2**20
 
 
+def test_full_quadrature_tables_stay_small(params_unit):
+    # at the largest criterion-6 point (1.05e9 nominal summands, about 180
+    # nodes per axis) a level holds one n x n and one n x r table per
+    # cavity, well under 2 MiB, and no array of pairs times nodes
+    tracemalloc.start()
+    try:
+        continuum_correlation(params_unit, 20.0, 0.10, 0.14, rel_tol=1e-7,
+                              method="full_quadrature", budget=4e9)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * 2**20
+
+
 def test_full_quadrature_budget_checked_before_pair_arrays(params_unit):
     # a far point has 34380 axis nodes, a nominal cost of 1.4e18 against
     # the default budget 1e8: it fails on the budget before either
-    # cavity's folded pair arrays (4.4 GiB) exist; one axis rule is 0.79 MiB
+    # cavity's table of 1/(w0 + c K) (8.8 GiB) exists; one axis rule is
+    # 0.79 MiB
     tracemalloc.start()
     try:
         with pytest.raises(ConvergenceError, match="budget"):
